@@ -1,122 +1,245 @@
 """Samplers for the missing block: the closed-form MAR conditional, blocked
 Gibbs sweeps, the MNAR independence/block Metropolis schemes, and a fixed
-step-size leapfrog HMC over (theta, y_u)."""
+step-size leapfrog HMC over (theta, y_u).
+
+Every conditional draw of y_u or of one of its blocks goes through one
+banded GMRF factor (:class:`GmrfFactor`) of the relevant block of M_y."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .missing import BlockPartition, MissingPattern, SelectionModel
-from .sem import PartitionedView, SemParams, precision_matrix
+from .sem import PartitionedView, PrecisionPattern, SemParams
 from .weights import SpatialWeights
+
+
+def _lapack_check(routine: str, info: int, rho: float | None = None) -> None:
+    """Raise on a nonzero ``info``, which the raw LAPACK wrappers return
+    instead of raising."""
+    if info > 0 and rho is not None:
+        raise np.linalg.LinAlgError(
+            f"conditional precision block not positive definite (rho={rho}; "
+            f"{routine} info={info})")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
+
+
+class GmrfFactor:
+    """Banded Cholesky factor of a principal block M[idx, idx] of a sparse
+    symmetric positive definite M with a fixed pattern (Rue 2001; Rue & Held
+    2005, ch. 2).
+
+    Construction does the symbolic work once per index set: a reverse
+    Cuthill-McKee order ``perm`` of the block's graph, its bandwidth ``bw``,
+    and the positions, in the data array of ``pattern``, of the band entries
+    and of the rows M[idx, :]. ``pattern`` must store each entry once
+    (canonical CSR). The numeric methods take ``data``, the values of M laid
+    out on that pattern. With P the permutation that lists idx in
+    ``perm`` order, P M[idx, idx] P^T = L L^T; L is held as a LAPACK lower
+    band of shape (bw + 1, len(idx)).
+    """
+
+    def __init__(self, pattern: sparse.csr_matrix, idx: np.ndarray):
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size == 0:
+            raise ValueError("GMRF factor of an empty index set")
+        size = idx.size
+        starts = pattern.indptr[idx]
+        counts = pattern.indptr[idx + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        src = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        self.idx = idx
+        self._nnz = pattern.nnz
+        self._row_of = np.repeat(np.arange(size), counts)
+        self._row_src = src
+        self._row_cols = pattern.indices[src]
+        local = np.full(pattern.shape[0], -1, dtype=np.intp)
+        local[idx] = np.arange(size)
+        col = local[self._row_cols]
+        inside = col >= 0
+        row, col, src = self._row_of[inside], col[inside], src[inside]
+        graph = sparse.csr_matrix(
+            (np.ones(row.size), col,
+             np.concatenate([[0], np.cumsum(np.bincount(row, minlength=size))])),
+            shape=(size, size))
+        self.perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
+        rank = np.empty(size, dtype=np.intp)
+        rank[self.perm] = np.arange(size)
+        i, j = rank[row], rank[col]
+        lower = i >= j
+        self.bw = int(np.max(i - j))
+        # LAPACK lower band, column-major: L[i, j] sits at (i - j) + j (bw + 1)
+        self._band_pos = (i - j + j * (self.bw + 1))[lower]
+        self._band_src = src[lower]
+
+    def _check(self, data: np.ndarray) -> None:
+        if data.shape != (self._nnz,):
+            raise ValueError(f"data has shape {data.shape}; the factor's "
+                             f"pattern holds {self._nnz} entries")
+
+    def cholesky(self, data: np.ndarray, rho: float) -> np.ndarray:
+        """Band of L for the values ``data``; ``rho`` only names a failure."""
+        self._check(data)
+        size = self.idx.size
+        flat = np.zeros((self.bw + 1) * size)
+        flat[self._band_pos] = data[self._band_src]
+        band, info = dpbtrf(flat.reshape((self.bw + 1, size), order="F"),
+                            lower=1, overwrite_ab=1)
+        _lapack_check("dpbtrf", info, rho)
+        return band
+
+    def solve(self, band: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """M[idx, idx]^{-1} b."""
+        x, info = dpbtrs(band, b[self.perm], lower=1)
+        _lapack_check("dpbtrs", info)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+    def correlate(self, band: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """P^T L^{-T} z: covariance M[idx, idx]^{-1} for standard-normal z."""
+        x, info = dtbtrs(band, z, uplo="L", trans="T")
+        _lapack_check("dtbtrs", info)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+    def rows_dot(self, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """M[idx, :] v."""
+        self._check(data)
+        return np.bincount(self._row_of, weights=data[self._row_src] * v[self._row_cols],
+                           minlength=self.idx.size)
+
+
+class GmrfPlan:
+    """The fixed-pattern M_y and the symbolic factors for the draws of y_u in
+    one fit, each factor built on first use and then kept: the unobserved
+    set once, and each block of ``partition`` once."""
+
+    def __init__(self, precision: PrecisionPattern, pattern: MissingPattern,
+                 partition: BlockPartition | None = None):
+        self.precision = precision
+        self.pattern = pattern
+        self.partition = partition
+
+    @cached_property
+    def unobserved(self) -> GmrfFactor:
+        return GmrfFactor(self.precision.pattern, self.pattern.unobserved_idx)
+
+    @cached_property
+    def blocks(self) -> list[GmrfFactor]:
+        return [GmrfFactor(self.precision.pattern, b) for b in self.partition.blocks]
+
+
+def _plan_for(weights: SpatialWeights, pattern: MissingPattern,
+              partition: BlockPartition | None, plan: GmrfPlan | None) -> GmrfPlan:
+    """``plan``, checked against the sets it will be used for, or a new one."""
+    if plan is None:
+        return GmrfPlan(PrecisionPattern(weights), pattern, partition)
+    if plan.pattern is not pattern or (partition is not None
+                                       and plan.partition is not partition):
+        raise ValueError("plan was built for another missing pattern or partition")
+    return plan
 
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """N(mean, sigma2 * P^{-1}) represented by the Cholesky factor of the
-    unit-variance precision block P (P = L L^T)."""
+    """N(mean, sigma2 * M_uu^{-1}) with the unit-variance precision block
+    M_uu held as its banded Cholesky factor: ``chol_lower`` is the band of L,
+    shape (bw + 1, n_u), in the order of ``factor``."""
 
     mean: np.ndarray
     chol_lower: np.ndarray
     sigma2: float
+    factor: GmrfFactor
 
 
-def mar_conditional(phi: SemParams, y_first: np.ndarray,
-                    view: PartitionedView) -> ConditionalGaussian:
+def mar_conditional(phi: SemParams, y_first: np.ndarray, view: PartitionedView,
+                    factor: GmrfFactor | None = None) -> ConditionalGaussian:
     """Conditional of the second-group responses given the first group.
 
     mean = X_u beta - M_uu^{-1} M_uo (y_o - X_o beta), cov = sigma2 M_uu^{-1},
-    where o/u stand for the view's first/second groups.
+    where o/u stand for the view's first/second groups. ``factor`` is the
+    symbolic factor of the second group on the pattern of the view's M_y;
+    without one it is built here.
     """
-    m_uu = view.m_block("second", "second").toarray()
-    try:
-        chol = np.linalg.cholesky(m_uu)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"conditional precision block not positive definite (rho={phi.rho})"
-        ) from exc
-    resid = np.asarray(y_first, dtype=float) - view.x_rows("first") @ phi.beta
-    rhs = view.m_block("second", "first") @ resid
-    mean = view.x_rows("second") @ phi.beta - cho_solve((chol, True), rhs)
-    return ConditionalGaussian(mean=mean, chol_lower=chol, sigma2=phi.sigma2_y)
+    m_y = view.m_y
+    if factor is None:
+        factor = GmrfFactor(m_y, view.second)
+    band = factor.cholesky(m_y.data, phi.rho)
+    resid = np.zeros(view.n)
+    resid[view.first] = np.asarray(y_first, dtype=float) - view.x_rows("first") @ phi.beta
+    mean = (view.x_rows("second") @ phi.beta
+            - factor.solve(band, factor.rows_dot(m_y.data, resid)))
+    return ConditionalGaussian(mean=mean, chol_lower=band, sigma2=phi.sigma2_y,
+                               factor=factor)
 
 
 def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw: mean + sqrt(sigma2) L^{-T} z with z standard normal."""
-    if cg.mean.shape[0] == 0:
-        return np.empty(0)
+    """Exact draw: mean + sqrt(sigma2) P^T L^{-T} z with z standard normal."""
     z = rng.standard_normal(cg.mean.shape[0])
-    return cg.mean + np.sqrt(cg.sigma2) * solve_triangular(cg.chol_lower.T, z, lower=False)
+    return cg.mean + np.sqrt(cg.sigma2) * cg.factor.correlate(cg.chol_lower, z)
 
 
 class _BlockConditionals:
-    """Per-block Cholesky factors of M_{u_j u_j} plus the row slices needed
-    for the conditional means, valid for one (rho, partition) pair.
+    """Banded factors of the blocks M_{u_j u_j} at one rho, for draws of each
+    block from its conditional given the current other units.
 
     Uses mean_j = y_{u_j} - M_{u_j u_j}^{-1} (M[u_j, :] r) with r = y - X beta,
-    which equals the textbook partitioned form and only needs sparse row
-    products per visit.
+    which equals the textbook partitioned form and only needs the rows of
+    the block per visit.
     """
 
-    def __init__(self, phi: SemParams, x: np.ndarray, weights: SpatialWeights,
-                 blocks, m_y: sparse.spmatrix | None = None):
-        if m_y is None:
-            m_y = precision_matrix(phi.rho, weights)
-        m_y = m_y.tocsr()
+    def __init__(self, phi: SemParams, x: np.ndarray, m_data: np.ndarray,
+                 factors: list[GmrfFactor]):
         self.phi = phi
         self.xb = x @ phi.beta
-        self.blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
-        self.chols = []
-        self.rows = []
-        for idx in self.blocks:
-            block = m_y[idx][:, idx].toarray()
-            try:
-                self.chols.append(np.linalg.cholesky(block))
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"block precision not positive definite (rho={phi.rho})") from exc
-            self.rows.append(m_y[idx].tocsr())
-
-    def mean(self, j: int, resid: np.ndarray) -> np.ndarray:
-        idx = self.blocks[j]
-        rhs = self.rows[j] @ resid
-        return (resid[idx] + self.xb[idx]) - cho_solve((self.chols[j], True), rhs)
+        self.m_data = m_data
+        self.factors = factors
+        self.bands = [f.cholesky(m_data, phi.rho) for f in factors]
 
     def draw(self, j: int, resid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.blocks[j].shape[0])
-        return self.mean(j, resid) + np.sqrt(self.phi.sigma2_y) * solve_triangular(
-            self.chols[j].T, z, lower=False)
+        f, band = self.factors[j], self.bands[j]
+        z = rng.standard_normal(f.idx.size)
+        mean = (resid[f.idx] + self.xb[f.idx]
+                - f.solve(band, f.rows_dot(self.m_data, resid)))
+        return mean + np.sqrt(self.phi.sigma2_y) * f.correlate(band, z)
 
 
 def _full_conditional(phi: SemParams, y_o: np.ndarray, pattern: MissingPattern,
-                      x: np.ndarray, weights: SpatialWeights,
-                      m_y: sparse.spmatrix | None = None) -> ConditionalGaussian:
-    if m_y is None:
-        m_y = precision_matrix(phi.rho, weights)
+                      x: np.ndarray, plan: GmrfPlan,
+                      m_y: sparse.csr_matrix) -> ConditionalGaussian:
     view = PartitionedView(pattern.observed_idx, pattern.unobserved_idx,
                            pattern.n, x=x, m_y=m_y)
-    return mar_conditional(phi, y_o, view)
+    return mar_conditional(phi, y_o, view, plan.unobserved)
 
 
 def gibbs_sweep(phi: SemParams, y_o: np.ndarray, pattern: MissingPattern,
                 partition: BlockPartition, x: np.ndarray, weights: SpatialWeights,
                 n1: int, rng: np.random.Generator, y_u_init: np.ndarray,
-                m_y: sparse.spmatrix | None = None) -> np.ndarray:
+                plan: GmrfPlan | None = None) -> np.ndarray:
     """N1 full Gibbs sweeps over the blocks of the MAR conditional, each block
-    drawn from its exact conditional given the freshest other blocks."""
+    drawn from its exact conditional given the freshest other blocks.
+
+    ``plan`` carries the symbolic block factors across calls; without one
+    they are built here."""
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
-    work = _BlockConditionals(phi, x, weights, partition.blocks, m_y=m_y)
+    plan = _plan_for(weights, pattern, partition, plan)
+    work = _BlockConditionals(phi, x, plan.precision.data(phi.rho), plan.blocks)
     y = pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
     resid = y - work.xb
     for _ in range(n1):
-        for j, idx in enumerate(work.blocks):
-            y[idx] = work.draw(j, resid, rng)
-            resid[idx] = y[idx] - work.xb[idx]
+        for j, f in enumerate(work.factors):
+            y[f.idx] = work.draw(j, resid, rng)
+            resid[f.idx] = y[f.idx] - work.xb[f.idx]
     return y[pattern.unobserved_idx]
 
 
@@ -132,12 +255,13 @@ def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
              pattern: MissingPattern, x: np.ndarray, weights: SpatialWeights,
              n1: int, rng: np.random.Generator,
              y_u_init: np.ndarray | None = None,
-             m_y: sparse.spmatrix | None = None) -> tuple[np.ndarray, float]:
+             plan: GmrfPlan | None = None) -> tuple[np.ndarray, float]:
     """Independence Metropolis over the whole missing vector: proposals from
     the MAR conditional, acceptance from the missingness-likelihood ratio."""
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
-    cg = _full_conditional(phi, y_o, pattern, x, weights, m_y=m_y)
+    plan = _plan_for(weights, pattern, None, plan)
+    cg = _full_conditional(phi, y_o, pattern, x, plan, plan.precision.matrix(phi.rho))
     u_idx = pattern.unobserved_idx
     if y_u_init is None:
         y_u = sample_conditional(cg, rng)
@@ -159,7 +283,7 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
                x: np.ndarray, weights: SpatialWeights, scheme: str,
                n1: int, rng: np.random.Generator,
                y_u_init: np.ndarray | None = None, k_prime: int = 3,
-               m_y: sparse.spmatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+               plan: GmrfPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Blockwise Metropolis: per inner iteration visit all k blocks ("allb")
     or a fresh uniform sample of k_prime blocks ("randomb"), proposing each
     block from its MAR conditional given the freshest other blocks.
@@ -174,10 +298,11 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
     k = partition.k
     if scheme == "randomb" and not (1 <= k_prime <= k):
         raise ValueError(f"k_prime={k_prime} out of range [1, {k}]")
-    work = _BlockConditionals(phi, x, weights, partition.blocks, m_y=m_y)
+    plan = _plan_for(weights, pattern, partition, plan)
+    m_y = plan.precision.matrix(phi.rho)
+    work = _BlockConditionals(phi, x, m_y.data, plan.blocks)
     if y_u_init is None:
-        cg = _full_conditional(phi, y_o, pattern, x, weights, m_y=m_y)
-        y_u_init = sample_conditional(cg, rng)
+        y_u_init = sample_conditional(_full_conditional(phi, y_o, pattern, x, plan, m_y), rng)
     y = pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
     resid = y - work.xb
     proposed = np.zeros(k, dtype=np.int64)
@@ -188,7 +313,7 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
         else:
             visit = rng.choice(k, size=k_prime, replace=False)
         for j in visit:
-            idx = work.blocks[j]
+            idx = work.factors[j].idx
             proposal = work.draw(j, resid, rng)
             log_ratio = (_missing_sel_terms(proposal, idx, sel)
                          - _missing_sel_terms(y[idx], idx, sel))

@@ -74,17 +74,57 @@ def drho_dlogit(rho: float) -> float:
     return 0.5 * (1.0 - rho * rho)
 
 
-def precision_matrix(rho: float, w: SpatialWeights,
-                     interval: tuple[float, float] | None = None) -> sparse.csr_matrix:
-    """M_y = (I - rho W)^T (I - rho W), sparse symmetric positive definite.
+class PrecisionPattern:
+    """M_y(rho) = I - rho (W + W^T) + rho^2 W^T W on one fixed sparsity pattern.
+
+    The three terms are placed once on the union of their patterns, so the
+    matrix has the same indptr, indices and nnz at every rho, rho = 0
+    included; only its data change. (A sparse product A^T A drops exact
+    zeros, so its pattern shrinks to the diagonal at rho = 0.) Positions
+    into ``pattern`` found once therefore hold at every rho.
 
     Pass a precomputed admissible ``interval`` to skip the eigensolve.
     """
-    lo, hi = rho_interval(w) if interval is None else interval
-    if not (lo < rho < hi):
-        raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
-    a = spatial_filter(rho, w)
-    return (a.T @ a).tocsr()
+
+    def __init__(self, w: SpatialWeights,
+                 interval: tuple[float, float] | None = None):
+        n = w.n
+        wm = w.matrix.tocoo()
+        wtw = (w.matrix.T @ w.matrix).tocoo()
+        diag = np.arange(n)
+        # (term, row, col, value) of I, W, W^T and W^T W; W and W^T add into one term
+        term = np.repeat([0, 1, 1, 2], [n, wm.nnz, wm.nnz, wtw.nnz])
+        row = np.concatenate([diag, wm.row, wm.col, wtw.row]).astype(np.int64)
+        col = np.concatenate([diag, wm.col, wm.row, wtw.col])
+        val = np.concatenate([np.ones(n), wm.data, wm.data, wtw.data])
+        keys, pos = np.unique(row * n + col, return_inverse=True)
+        self._terms = np.zeros((3, keys.size))
+        np.add.at(self._terms, (term, pos), val)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        self.pattern = sparse.csr_matrix((np.ones(keys.size), keys % n, indptr),
+                                         shape=(n, n))
+        self.interval = rho_interval(w) if interval is None else interval
+
+    def data(self, rho: float) -> np.ndarray:
+        """Values of M_y(rho) on ``pattern``, in its storage order."""
+        lo, hi = self.interval
+        if not (lo < rho < hi):
+            raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
+        return np.array([1.0, -rho, rho * rho]) @ self._terms
+
+    def matrix(self, rho: float) -> sparse.csr_matrix:
+        p = self.pattern
+        return sparse.csr_matrix((self.data(rho), p.indices, p.indptr), shape=p.shape)
+
+
+def precision_matrix(rho: float, w: SpatialWeights,
+                     interval: tuple[float, float] | None = None) -> sparse.csr_matrix:
+    """M_y = (I - rho W)^T (I - rho W), sparse symmetric positive definite,
+    on the fixed pattern of :class:`PrecisionPattern`.
+
+    Pass a precomputed admissible ``interval`` to skip the eigensolve.
+    """
+    return PrecisionPattern(w, interval).matrix(rho)
 
 
 def spatial_filter(rho: float, w: SpatialWeights) -> sparse.csr_matrix:
@@ -237,10 +277,14 @@ class PartitionedView:
             raise ValueError("view was built without W")
         return self._w[self._group(row_group)][:, self._group(col_group)].tocsr()
 
-    def m_block(self, row_group: str, col_group: str) -> sparse.csr_matrix:
+    @property
+    def m_y(self) -> sparse.csr_matrix:
         if self._m is None:
             raise ValueError("view was built without M_y")
-        return self._m[self._group(row_group)][:, self._group(col_group)].tocsr()
+        return self._m
+
+    def m_block(self, row_group: str, col_group: str) -> sparse.csr_matrix:
+        return self.m_y[self._group(row_group)][:, self._group(col_group)].tocsr()
 
 
 def partition(first, second, n: int, x: np.ndarray | None = None,

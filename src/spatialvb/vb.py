@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .samplers import (McmcConfig, gibbs_sweep, mcmc_block, mcmc_nob,
+from .samplers import (GmrfPlan, McmcConfig, gibbs_sweep, mcmc_block, mcmc_nob,
                        sample_conditional, _full_conditional)
-from .sem import SemParams, spatial_filter
+from .sem import PrecisionPattern, SemParams
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -266,28 +266,32 @@ def _selection_from_theta(target, theta: np.ndarray):
                           psi_y=float(theta[-1]), x_star=target.x_star)
 
 
+def _gmrf_plan(target, partition=None) -> GmrfPlan:
+    """The symbolic factors for the y_u draws of one fit on ``target``."""
+    return GmrfPlan(PrecisionPattern(target.weights, target.rho_bounds),
+                    target.pattern, partition)
+
+
 def draw_initial_yu(target, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from p(y_u | phi(theta), y_o): the starting value used for
     the missing block by every fit."""
     if target.n_u == 0:
         return np.empty(0)
     phi = _phi_from_theta(target, theta)
-    cg = _full_conditional(phi, target.y_obs, target.pattern, target.x,
-                           target.weights, m_y=_precision_for(target, phi.rho))
+    target._check_rho(phi.rho)
+    plan = _gmrf_plan(target)
+    cg = _full_conditional(phi, target.y_obs, target.pattern, target.x, plan,
+                           plan.precision.matrix(phi.rho))
     return sample_conditional(cg, rng)
 
 
-def _precision_for(target, rho: float):
-    target._check_rho(rho)
-    a = spatial_filter(rho, target.weights)
-    return (a.T @ a).tocsr()
-
-
-def _theta_summaries(target, vp_theta_mu, vp_b, vp_d, s, rng, n_draws):
-    etas = rng.standard_normal((n_draws, vp_b.shape[1]))
-    epss = rng.standard_normal((n_draws, vp_b.shape[0]))
-    values = vp_theta_mu + etas @ vp_b.T + epss * vp_d
-    cons = target.constrain(values[:, :s])
+def _theta_summaries(target, vp: VParams, s: int, rng, n_draws: int):
+    """Constrained-space mean and sd of theta under q: draws of the first s
+    coordinates only, whose marginal is N(mu[:s], B[:s] B[:s]^T + D[:s]^2)."""
+    etas = rng.standard_normal((n_draws, vp.p))
+    epss = rng.standard_normal((n_draws, s))
+    values = vp.mu[:s] + etas @ vp.b[:s].T + epss * vp.d[:s]
+    cons = target.constrain(values)
     return cons.mean(axis=0), cons.std(axis=0, ddof=1)
 
 
@@ -361,8 +365,7 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
         vp.mu = vp.mu + d_mu
         vp.b = (vp.b + d_b) * vp.mask
         vp.d = vp.d + d_d
-    theta_mean, theta_sd = _theta_summaries(target, vp.mu, vp.b, vp.d, s,
-                                            rng, summary_draws)
+    theta_mean, theta_sd = _theta_summaries(target, vp, s, rng, summary_draws)
     yu_sd = vp.marginal_sd()[s:]
     flags = {"skipped_iterations": skipped, "clipped_coordinates": clipped,
              "flagged": bool(skipped > 0.01 * iters)}
@@ -378,34 +381,33 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
                      elapsed_seconds=time.perf_counter() - start)
 
 
-def _sample_yu(target, theta, cfg: McmcConfig, rng, y_u_prev):
+def _sample_yu(target, theta, cfg: McmcConfig, rng, y_u_prev, plan: GmrfPlan):
     """Step 5 of the outer loop: one y_u draw for the current theta."""
     phi = _phi_from_theta(target, theta)
-    m_y = _precision_for(target, phi.rho)
+    target._check_rho(phi.rho)
     pattern = target.pattern
+
+    def direct_draw():
+        cg = _full_conditional(phi, target.y_obs, pattern, target.x, plan,
+                               plan.precision.matrix(phi.rho))
+        return sample_conditional(cg, rng)
+
     if cfg.scheme == "direct":
-        cg = _full_conditional(phi, target.y_obs, pattern, target.x,
-                               target.weights, m_y=m_y)
-        return sample_conditional(cg, rng), np.nan
+        return direct_draw(), np.nan
     if cfg.scheme == "gibbs":
-        if cfg.warm_start and y_u_prev is not None:
-            y0 = y_u_prev
-        else:
-            cg = _full_conditional(phi, target.y_obs, pattern, target.x,
-                                   target.weights, m_y=m_y)
-            y0 = sample_conditional(cg, rng)
+        y0 = y_u_prev if (cfg.warm_start and y_u_prev is not None) else direct_draw()
         out = gibbs_sweep(phi, target.y_obs, pattern, cfg.partition, target.x,
-                          target.weights, cfg.n1, rng, y0, m_y=m_y)
+                          target.weights, cfg.n1, rng, y0, plan=plan)
         return out, np.nan
     sel = _selection_from_theta(target, theta)
     init = y_u_prev if (cfg.warm_start and y_u_prev is not None) else None
     if cfg.scheme == "nob":
         y_u, acc = mcmc_nob(phi, sel, target.y_obs, pattern, target.x,
-                            target.weights, cfg.n1, rng, y_u_init=init, m_y=m_y)
+                            target.weights, cfg.n1, rng, y_u_init=init, plan=plan)
         return y_u, acc
     y_u, rates = mcmc_block(phi, sel, target.y_obs, pattern, cfg.partition,
                             target.x, target.weights, cfg.scheme, cfg.n1, rng,
-                            y_u_init=init, k_prime=cfg.k_prime, m_y=m_y)
+                            y_u_init=init, k_prime=cfg.k_prime, plan=plan)
     return y_u, float(np.nanmean(rates))
 
 
@@ -444,6 +446,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     skipped = 0
     clipped = 0
     y_u_prev = None
+    plan = _gmrf_plan(target, sampler_cfg.partition) if n_u > 0 else None
     for t in range(iters):
         trajectory[t] = vp.mu
         try:
@@ -452,7 +455,8 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
             for _ in range(n_draws_per_iter):
                 theta, draw = draw_variational(vp, rng)
                 if n_u > 0:
-                    y_u, acc = _sample_yu(target, theta, sampler_cfg, rng, y_u_prev)
+                    y_u, acc = _sample_yu(target, theta, sampler_cfg, rng, y_u_prev,
+                                          plan)
                     y_u_prev = y_u
                 else:
                     y_u, acc = np.empty(0), np.nan
@@ -501,8 +505,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     else:
         yu_mean = yu_sum / max(yu_count, 1)
         yu_sd = np.full(n_u, np.nan)
-    theta_mean, theta_sd = _theta_summaries(target, vp.mu, vp.b, vp.d, s,
-                                            rng, summary_draws)
+    theta_mean, theta_sd = _theta_summaries(target, vp, s, rng, summary_draws)
     warning = _smooth_warning(acc_history)
     finite_acc = [a for a in acc_history if np.isfinite(a)]
     flags = {"skipped_iterations": skipped, "clipped_coordinates": clipped,

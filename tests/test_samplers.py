@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from spatialvb import (HmcConfig, MissingPattern, gibbs_sweep, hmc_run,
+from spatialvb import (HmcConfig, MissingPattern, SemParams,
+                       build_rook_grid_weights, gibbs_sweep, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
-                       partition, precision_matrix, sample_conditional)
-from spatialvb.samplers import leapfrog
+                       partition, precision_matrix, row_normalize,
+                       sample_conditional)
+from spatialvb.samplers import GmrfFactor, GmrfPlan, leapfrog
+from spatialvb.sem import PrecisionPattern
 
 from conftest import dense_sem_cov, random_instance, random_selection
 
@@ -28,9 +31,81 @@ def schur_conditional(params, w, x, pattern, y_o):
     return mean, cond_cov
 
 
+def factored_block(factor, band):
+    """P^T L L^T P rebuilt densely from a GMRF factor and its band of L."""
+    n = band.shape[1]
+    low = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        # band[k, j] holds L[j + k, j]
+        low[np.arange(k, n), np.arange(n - k)] = band[k, :n - k]
+    out = np.empty((n, n))
+    out[np.ix_(factor.perm, factor.perm)] = low @ low.T
+    return out
+
+
 def cg_covariance(cg):
-    inv = np.linalg.inv(cg.chol_lower @ cg.chol_lower.T)
-    return cg.sigma2 * inv
+    return cg.sigma2 * np.linalg.inv(factored_block(cg.factor, cg.chol_lower))
+
+
+def _factor_oracle_sets():
+    w = row_normalize(build_rook_grid_weights(10))
+    rng = np.random.default_rng(0)
+    m = np.zeros(100, dtype=np.int8)
+    m[rng.choice(100, size=75, replace=False)] = 1
+    pattern = MissingPattern(m=m)
+    sets = [("unobserved", pattern.unobserved_idx)]
+    sets += [(f"block{j}", b)
+             for j, b in enumerate(make_blocks(pattern, 17, seed=1).blocks)]
+    # units 3 apart share no neighbour, so M_y restricted to them is diagonal
+    sets.append(("spaced", np.array([r * 10 + c for r in range(0, 10, 3)
+                                     for c in range(0, 10, 3)])))
+    sets.append(("one-unit", np.array([44])))
+    return w, sets
+
+
+def test_gmrf_factor_reproduces_dense_block():
+    w, sets = _factor_oracle_sets()
+    prec = PrecisionPattern(w)
+    for rho in (0.0, 0.7, -0.4):
+        dense = precision_matrix(rho, w).toarray()
+        for name, idx in sets:
+            factor = GmrfFactor(prec.pattern, idx)
+            band = factor.cholesky(prec.data(rho), rho)
+            assert band.shape == (factor.bw + 1, idx.size)
+            if name in ("spaced", "one-unit"):
+                assert factor.bw == 0
+            np.testing.assert_allclose(factored_block(factor, band),
+                                       dense[np.ix_(idx, idx)], rtol=0,
+                                       atol=1e-12, err_msg=f"{name} rho={rho}")
+
+
+def test_factor_failure_is_loud_and_names_rho(grid4):
+    x, params, y, pattern, _ = random_instance(grid4, 40)
+    negated = -precision_matrix(params.rho, grid4)
+    view = partition(pattern.observed_idx, pattern.unobserved_idx, grid4.n,
+                     x=x, w=grid4, m_y=negated)
+    with pytest.raises(np.linalg.LinAlgError, match=f"rho={params.rho}"):
+        mar_conditional(params, y[pattern.observed_idx], view)
+    factor = GmrfFactor(negated, pattern.unobserved_idx)
+    with pytest.raises(ValueError, match="pattern holds"):
+        factor.cholesky(np.ones(3), params.rho)
+
+
+def test_plan_reused_across_rho_matches_fresh_factors():
+    w, x, params, y, pattern, sel = mnar_instance(26)
+    y_o = y[pattern.observed_idx]
+    part = make_blocks(pattern, 2, seed=0)
+    plan = GmrfPlan(PrecisionPattern(w), pattern, part)
+    for rho in (0.0, 0.6, -0.3):
+        phi = SemParams(beta=params.beta, sigma2_y=params.sigma2_y, rho=rho)
+        reused = mcmc_block(phi, sel, y_o, pattern, part, x, w, "allb", 5,
+                            np.random.default_rng(1), plan=plan)
+        fresh = mcmc_block(phi, sel, y_o, pattern, part, x, w, "allb", 5,
+                           np.random.default_rng(1))
+        np.testing.assert_array_equal(reused[0], fresh[0])
+    with pytest.raises(ValueError, match="another"):
+        mcmc_block(params, sel, y_o, pattern, make_blocks(pattern, 2, seed=1),
+                   x, w, "allb", 1, np.random.default_rng(1), plan=plan)
 
 
 def test_conditional_rho_zero_no_information_flow(grid3):

@@ -38,6 +38,18 @@ def test_precision_matches_dense_formula(grid4):
         np.testing.assert_allclose(m, a.T @ a, atol=1e-12)
 
 
+def test_precision_pattern_fixed_across_rho():
+    # A^T A as a sparse product drops exact zeros: 36 entries at rho = 0,
+    # 352 elsewhere on this grid. The assembled M_y keeps all 352 at every rho.
+    w = row_normalize(build_rook_grid_weights(6))
+    dense_w = w.matrix.toarray()
+    for rho in (0.0, 0.3, 0.8, -0.5):
+        m = precision_matrix(rho, w)
+        a = np.eye(36) - rho * dense_w
+        np.testing.assert_allclose(m.toarray(), a.T @ a, atol=1e-12)
+        assert m.nnz == 352
+
+
 def test_precision_positive_definite_across_interval(grid4):
     rng = np.random.default_rng(11)
     from spatialvb import rho_interval
