@@ -15,7 +15,7 @@ import numpy as np
 
 from .missing import (MissingPattern, SelectionModel, selection_grad_psi,
                       selection_grad_yu, selection_log_prob)
-from .sem import RHO_MARGIN, PrecisionOps, drho_dlogit, rho_from_logit
+from .sem import RHO_MARGIN, PrecisionOps, SemParams, drho_dlogit, rho_from_logit
 from .weights import SpatialWeights, rho_interval
 
 
@@ -120,31 +120,37 @@ class TargetDensity:
     # -- evaluation ----------------------------------------------------
 
     def _split(self, theta: np.ndarray):
+        """(beta, gamma, rho_logit, rho, selection model or None); raises
+        ValueError if rho leaves its admissible interval."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.S,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.S},)")
         beta = theta[:self.n_beta]
         gamma = float(theta[self._i_gamma])
         lam = float(theta[self._i_lambda])
+        rho = rho_from_logit(lam)
+        lo, hi = self.rho_bounds
+        if not (lo + RHO_MARGIN < rho < hi - RHO_MARGIN):
+            raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
         sel = None
         if self.mechanism == "mnar":
             q1 = self.x_star.shape[1]
             sel = SelectionModel(psi_x=theta[self.n_beta + 2:self.n_beta + 2 + q1],
                                  psi_y=float(theta[-1]), x_star=self.x_star)
-        return beta, gamma, lam, sel
+        return beta, gamma, lam, rho, sel
 
-    def _check_rho(self, rho: float) -> None:
-        lo, hi = self.rho_bounds
-        if not (lo + RHO_MARGIN < rho < hi - RHO_MARGIN):
-            raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
+    def model_params(self, theta: np.ndarray
+                     ) -> tuple[SemParams, SelectionModel | None]:
+        """The constrained SEM parameters at theta and, under MNAR, the
+        selection model. Raises ValueError if rho leaves its interval."""
+        beta, gamma, _, rho, sel = self._split(theta)
+        return SemParams(beta=beta, sigma2_y=float(np.exp(gamma)), rho=rho), sel
 
     def _prepare(self, theta: np.ndarray, y_u: np.ndarray) -> SimpleNamespace:
-        beta, gamma, lam, sel = self._split(theta)
+        beta, gamma, lam, rho, sel = self._split(theta)
         y_u = np.asarray(y_u, dtype=float)
         if y_u.shape != (self.n_u,):
             raise ValueError(f"y_u has shape {y_u.shape}, expected ({self.n_u},)")
-        rho = rho_from_logit(lam)
-        self._check_rho(rho)
         y = self.pattern.assemble(self.y_obs, y_u)
         r = y - self.x @ beta
         w = self.weights.matrix
@@ -152,14 +158,13 @@ class TargetDensity:
         m_r = ar - rho * (w.T @ ar)     # M_y r = A^T A r
         quad = float(ar @ ar)           # r^T M_y r
         return SimpleNamespace(beta=beta, gamma=gamma, lam=lam, sel=sel, rho=rho,
-                               y=y, r=r, m_r=m_r, quad=quad)
+                               exp_ng=np.exp(-gamma), y=y, r=r, m_r=m_r, quad=quad)
 
-    def log_h(self, theta: np.ndarray, y_u: np.ndarray) -> float:
-        s = self._prepare(theta, y_u)
+    def _value(self, s: SimpleNamespace) -> float:
         pr = self.priors
         val = (-0.5 * self.n * s.gamma
                + 0.5 * self.ops.logdet_m(s.rho)
-               - 0.5 * np.exp(-s.gamma) * s.quad
+               - 0.5 * s.exp_ng * s.quad
                - 0.5 * float(s.beta @ s.beta) / pr.var_beta
                - 0.5 * s.gamma ** 2 / pr.var_gamma
                - 0.5 * s.lam ** 2 / pr.var_rho_logit)
@@ -169,20 +174,18 @@ class TargetDensity:
             val -= 0.5 * float(psi @ psi) / pr.var_psi
         return float(val)
 
-    def grad_log_h_theta(self, theta: np.ndarray, y_u: np.ndarray,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
-        s = self._prepare(theta, y_u)
+    def _grad_theta(self, s: SimpleNamespace,
+                    rng: np.random.Generator | None) -> np.ndarray:
         pr = self.priors
-        exp_ng = np.exp(-s.gamma)
-        g_beta = exp_ng * (self.x.T @ s.m_r) - s.beta / pr.var_beta
-        g_gamma = -0.5 * self.n + 0.5 * exp_ng * s.quad - s.gamma / pr.var_gamma
+        g_beta = s.exp_ng * (self.x.T @ s.m_r) - s.beta / pr.var_beta
+        g_gamma = -0.5 * self.n + 0.5 * s.exp_ng * s.quad - s.gamma / pr.var_gamma
         # dM/drho applied to r: -(W^T + W) r + 2 rho W^T W r
         w = self.weights.matrix
         wr = w @ s.r
         dm_r = -(w.T @ s.r) - wr + 2.0 * s.rho * (w.T @ wr)
         trace = self.ops.trace_minv_dm(s.rho, rng=rng)
         dr_dl = drho_dlogit(s.rho)
-        g_lambda = ((0.5 * trace - 0.5 * exp_ng * float(s.r @ dm_r)) * dr_dl
+        g_lambda = ((0.5 * trace - 0.5 * s.exp_ng * float(s.r @ dm_r)) * dr_dl
                     - s.lam / pr.var_rho_logit)
         grad = np.concatenate([g_beta, [g_gamma, g_lambda]])
         if self.mechanism == "mnar":
@@ -191,41 +194,27 @@ class TargetDensity:
             grad = np.concatenate([grad, g_psi])
         return grad
 
-    def grad_log_h_yu(self, theta: np.ndarray, y_u: np.ndarray) -> np.ndarray:
-        s = self._prepare(theta, y_u)
-        full = -np.exp(-s.gamma) * s.m_r
-        grad = full[self.pattern.unobserved_idx]
+    def _grad_yu(self, s: SimpleNamespace) -> np.ndarray:
+        grad = -s.exp_ng * s.m_r[self.pattern.unobserved_idx]
         if self.mechanism == "mnar":
             grad = grad + selection_grad_yu(self.pattern, s.y, s.sel, self.pattern)
         return grad
+
+    # Thin public views on one preparation pass each; none calls another, so
+    # a traced call of one is never counted inside another.
+
+    def log_h(self, theta: np.ndarray, y_u: np.ndarray) -> float:
+        return self._value(self._prepare(theta, y_u))
+
+    def grad_log_h_theta(self, theta: np.ndarray, y_u: np.ndarray,
+                         rng: np.random.Generator | None = None) -> np.ndarray:
+        return self._grad_theta(self._prepare(theta, y_u), rng)
+
+    def grad_log_h_yu(self, theta: np.ndarray, y_u: np.ndarray) -> np.ndarray:
+        return self._grad_yu(self._prepare(theta, y_u))
 
     def log_h_and_grads(self, theta: np.ndarray, y_u: np.ndarray,
                         rng: np.random.Generator | None = None):
         """(log h, grad wrt theta, grad wrt y_u) sharing one preparation pass."""
         s = self._prepare(theta, y_u)
-        pr = self.priors
-        exp_ng = np.exp(-s.gamma)
-        logdet = self.ops.logdet_m(s.rho)
-        val = (-0.5 * self.n * s.gamma + 0.5 * logdet - 0.5 * exp_ng * s.quad
-               - 0.5 * float(s.beta @ s.beta) / pr.var_beta
-               - 0.5 * s.gamma ** 2 / pr.var_gamma
-               - 0.5 * s.lam ** 2 / pr.var_rho_logit)
-        g_beta = exp_ng * (self.x.T @ s.m_r) - s.beta / pr.var_beta
-        g_gamma = -0.5 * self.n + 0.5 * exp_ng * s.quad - s.gamma / pr.var_gamma
-        w = self.weights.matrix
-        wr = w @ s.r
-        dm_r = -(w.T @ s.r) - wr + 2.0 * s.rho * (w.T @ wr)
-        trace = self.ops.trace_minv_dm(s.rho, rng=rng)
-        dr_dl = drho_dlogit(s.rho)
-        g_lambda = ((0.5 * trace - 0.5 * exp_ng * float(s.r @ dm_r)) * dr_dl
-                    - s.lam / pr.var_rho_logit)
-        g_theta = np.concatenate([g_beta, [g_gamma, g_lambda]])
-        g_yu = -exp_ng * s.m_r[self.pattern.unobserved_idx]
-        if self.mechanism == "mnar":
-            val += selection_log_prob(self.pattern, s.y, s.sel)
-            psi = s.sel.psi
-            val -= 0.5 * float(psi @ psi) / pr.var_psi
-            g_psi = selection_grad_psi(self.pattern, s.y, s.sel) - psi / pr.var_psi
-            g_theta = np.concatenate([g_theta, g_psi])
-            g_yu = g_yu + selection_grad_yu(self.pattern, s.y, s.sel, self.pattern)
-        return float(val), g_theta, g_yu
+        return self._value(s), self._grad_theta(s, rng), self._grad_yu(s)

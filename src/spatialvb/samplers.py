@@ -391,31 +391,38 @@ class HmcResult:
 
 
 def _joint_logh_grad(target, chi: np.ndarray):
+    """(log h, gradient over chi = (theta, y_u)); (-inf, zeros) where log h
+    cannot be evaluated or is not finite."""
     s = target.S
-    theta, y_u = chi[:s], chi[s:]
-    if hasattr(target, "log_h_and_grads"):
-        val, g_t, g_u = target.log_h_and_grads(theta, y_u)
-    else:
-        val = target.log_h(theta, y_u)
-        g_t = target.grad_log_h_theta(theta, y_u)
-        g_u = target.grad_log_h_yu(theta, y_u)
-    return val, np.concatenate([g_t, g_u])
+    try:
+        val, g_t, g_u = target.log_h_and_grads(chi[:s], chi[s:])
+    except (ValueError, np.linalg.LinAlgError):
+        return -np.inf, np.zeros(chi.shape[0])
+    grad = np.concatenate([g_t, g_u])
+    if not np.isfinite(val) or not np.all(np.isfinite(grad)):
+        return -np.inf, np.zeros(chi.shape[0])
+    return val, grad
 
 
-def leapfrog(target, chi: np.ndarray, s: np.ndarray, eps: float,
-             mass_diag: np.ndarray | None = None):
-    """One half/full/half leapfrog step for the potential U = -log h.
+def leapfrog(target, chi: np.ndarray, s: np.ndarray, grad: np.ndarray, eps: float,
+             n_steps: int, inv_mass: np.ndarray | float = 1.0):
+    """``n_steps`` leapfrog steps for the potential U = -log h from (chi, s),
+    with ``grad`` the gradient of log h at chi; half-steps of the momentum
+    between full steps are merged.
 
-    Returns (chi', s', log h(chi')). Iterating this L times reproduces the
-    trajectory hmc_run integrates with merged half-steps.
+    Returns (chi', s', log h(chi'), grad'), one gradient evaluation per step.
+    At the first point whose log h is not finite the trajectory stops and
+    log h' = -inf.
     """
-    inv_mass = 1.0 / mass_diag if mass_diag is not None else 1.0
-    _, grad = _joint_logh_grad(target, chi)
-    s_half = s + 0.5 * eps * grad
-    chi_new = chi + eps * inv_mass * s_half
-    logh_new, grad_new = _joint_logh_grad(target, chi_new)
-    s_new = s_half + 0.5 * eps * grad_new
-    return chi_new, s_new, logh_new
+    s = s + 0.5 * eps * grad
+    for step in range(n_steps):
+        chi = chi + eps * inv_mass * s
+        logh, grad = _joint_logh_grad(target, chi)
+        if not np.isfinite(logh):
+            return chi, s, logh, grad
+        if step < n_steps - 1:
+            s = s + eps * grad
+    return chi, s + 0.5 * eps * grad, logh, grad
 
 
 def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
@@ -423,8 +430,8 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
     """HMC with L leapfrog steps per iteration over chi = (theta, y_u).
 
     Potential U = -log h; momenta refresh from N(0, R). A proposal is
-    accepted with probability min(1, exp(H - H*)); non-finite Hamiltonians
-    count as divergences and are rejected.
+    accepted with probability min(1, exp(H - H*)); a trajectory that meets a
+    non-finite log h counts as a divergence and is rejected.
     """
     theta0, y_u0 = init
     chi = np.concatenate([np.asarray(theta0, float), np.asarray(y_u0, float)])
@@ -432,17 +439,7 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
     mass = cfg.mass_diag if cfg.mass_diag is not None else np.ones(dim)
     inv_mass = 1.0 / mass
     eps = cfg.step_size
-
-    def eval_point(c):
-        try:
-            val, grad = _joint_logh_grad(target, c)
-        except (ValueError, np.linalg.LinAlgError):
-            return -np.inf, np.zeros(dim)
-        if not np.isfinite(val) or not np.all(np.isfinite(grad)):
-            return -np.inf, np.zeros(dim)
-        return val, grad
-
-    logh, grad = eval_point(chi)
+    logh, grad = _joint_logh_grad(target, chi)
     if not np.isfinite(logh):
         raise ValueError("HMC initial point has non-finite log h")
     total = cfg.burn_in + cfg.n_samples
@@ -453,19 +450,9 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
     for it in range(total):
         s = rng.standard_normal(dim) * np.sqrt(mass)
         ham0 = -logh + 0.5 * float(s @ (inv_mass * s))
-        chi_new, grad_new, logh_new = chi, grad, logh
-        s_new = s + 0.5 * eps * grad_new
-        diverged = False
-        for step in range(cfg.n_leapfrog):
-            chi_new = chi_new + eps * inv_mass * s_new
-            logh_new, grad_new = eval_point(chi_new)
-            if not np.isfinite(logh_new):
-                diverged = True
-                break
-            if step < cfg.n_leapfrog - 1:
-                s_new = s_new + eps * grad_new
-        if not diverged:
-            s_new = s_new + 0.5 * eps * grad_new
+        chi_new, s_new, logh_new, grad_new = leapfrog(target, chi, s, grad, eps,
+                                                      cfg.n_leapfrog, inv_mass)
+        if np.isfinite(logh_new):
             ham1 = -logh_new + 0.5 * float(s_new @ (inv_mass * s_new))
             if np.isfinite(ham1) and np.log(rng.random()) < ham0 - ham1:
                 chi, grad, logh = chi_new, grad_new, logh_new

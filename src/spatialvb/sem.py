@@ -232,8 +232,7 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
 
 
 class PartitionedView:
-    """Two-group partition of a design matrix and the square sparse
-    matrices tied to it (W and M_y).
+    """Two-group partition of a design matrix and of M_y.
 
     The first group plays the role of the conditioning set (observed units,
     or s_j = observed plus the out-of-block unobserved); the second group is
@@ -242,7 +241,6 @@ class PartitionedView:
 
     def __init__(self, first: np.ndarray, second: np.ndarray, n: int,
                  x: np.ndarray | None = None,
-                 w: sparse.spmatrix | None = None,
                  m_y: sparse.spmatrix | None = None):
         first = np.asarray(first, dtype=np.intp)
         second = np.asarray(second, dtype=np.intp)
@@ -253,7 +251,6 @@ class PartitionedView:
         self.second = second
         self.n = n
         self._x = x
-        self._w = w.tocsr() if w is not None else None
         self._m = m_y.tocsr() if m_y is not None else None
 
     def _group(self, name: str) -> np.ndarray:
@@ -272,11 +269,6 @@ class PartitionedView:
             raise ValueError("view was built without a design matrix")
         return self._x[self._group(group)]
 
-    def w_block(self, row_group: str, col_group: str) -> sparse.csr_matrix:
-        if self._w is None:
-            raise ValueError("view was built without W")
-        return self._w[self._group(row_group)][:, self._group(col_group)].tocsr()
-
     @property
     def m_y(self) -> sparse.csr_matrix:
         if self._m is None:
@@ -288,8 +280,6 @@ class PartitionedView:
 
 
 def partition(first, second, n: int, x: np.ndarray | None = None,
-              w: SpatialWeights | sparse.spmatrix | None = None,
               m_y: sparse.spmatrix | None = None) -> PartitionedView:
     """Build a PartitionedView; groups must be disjoint and exhaustive."""
-    w_mat = w.matrix if isinstance(w, SpatialWeights) else w
-    return PartitionedView(first, second, n, x=x, w=w_mat, m_y=m_y)
+    return PartitionedView(first, second, n, x=x, m_y=m_y)

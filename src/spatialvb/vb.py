@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .samplers import (GmrfPlan, McmcConfig, gibbs_sweep, mcmc_block, mcmc_nob,
-                       sample_conditional, _full_conditional)
-from .sem import PrecisionPattern, SemParams
+from .samplers import (GmrfPlan, HmcConfig, McmcConfig, gibbs_sweep, hmc_run,
+                       mcmc_block, mcmc_nob, sample_conditional, tune_step_size,
+                       _full_conditional)
+from .sem import PrecisionPattern
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -146,13 +147,7 @@ def jvb_gradient_estimate(vp: VParams, target, rng: np.random.Generator):
     """
     value, draw = draw_variational(vp, rng)
     s = target.S
-    theta, y_u = value[:s], value[s:]
-    if hasattr(target, "log_h_and_grads"):
-        logh, g_theta, g_yu = target.log_h_and_grads(theta, y_u, rng=rng)
-    else:
-        logh = target.log_h(theta, y_u)
-        g_theta = target.grad_log_h_theta(theta, y_u)
-        g_yu = target.grad_log_h_yu(theta, y_u)
+    logh, g_theta, g_yu = target.log_h_and_grads(value[:s], value[s:], rng=rng)
     g = np.concatenate([g_theta, g_yu])
     grad_mu, grad_b, grad_d = _estimator_pieces(vp, g, draw)
     elbo = logh - log_q(vp, value)
@@ -168,12 +163,9 @@ def hvb_gradient_estimate(vp_theta: VParams, target, y_u_sample: np.ndarray,
     (grad_mu, grad_b, grad_d, elbo_proxy); the proxy log h - log q0 is a
     biased ELBO surrogate used only for trend monitoring.
     """
-    try:
-        g = target.grad_log_h_theta(theta, y_u_sample, rng=rng)
-    except TypeError:
-        g = target.grad_log_h_theta(theta, y_u_sample)
+    logh, g, _ = target.log_h_and_grads(theta, y_u_sample, rng=rng)
     grad_mu, grad_b, grad_d = _estimator_pieces(vp_theta, g, draw)
-    proxy = target.log_h(theta, y_u_sample) - log_q(vp_theta, theta)
+    proxy = logh - log_q(vp_theta, theta)
     return grad_mu, grad_b, grad_d, float(proxy)
 
 
@@ -252,20 +244,6 @@ def default_init_theta(target) -> np.ndarray:
     return theta
 
 
-def _phi_from_theta(target, theta: np.ndarray) -> SemParams:
-    n_beta = target.n_beta
-    sigma2 = float(np.exp(theta[n_beta]))
-    rho = float(np.tanh(0.5 * theta[n_beta + 1]))
-    return SemParams(beta=theta[:n_beta], sigma2_y=sigma2, rho=rho)
-
-
-def _selection_from_theta(target, theta: np.ndarray):
-    from .missing import SelectionModel
-    q1 = target.x_star.shape[1]
-    return SelectionModel(psi_x=theta[target.n_beta + 2:target.n_beta + 2 + q1],
-                          psi_y=float(theta[-1]), x_star=target.x_star)
-
-
 def _gmrf_plan(target, partition=None) -> GmrfPlan:
     """The symbolic factors for the y_u draws of one fit on ``target``."""
     return GmrfPlan(PrecisionPattern(target.weights, target.rho_bounds),
@@ -277,8 +255,7 @@ def draw_initial_yu(target, theta: np.ndarray, rng: np.random.Generator) -> np.n
     the missing block by every fit."""
     if target.n_u == 0:
         return np.empty(0)
-    phi = _phi_from_theta(target, theta)
-    target._check_rho(phi.rho)
+    phi, _ = target.model_params(theta)
     plan = _gmrf_plan(target)
     cg = _full_conditional(phi, target.y_obs, target.pattern, target.x, plan,
                            plan.precision.matrix(phi.rho))
@@ -310,6 +287,63 @@ _CLIP = 1e4
 _SUMMARY_DRAWS = 10_000
 
 
+def _sga(vp: VParams, estimate, iters: int, s: int, n_draws: int, clip: float,
+         on_step=None):
+    """Stochastic-gradient ascent of ``vp`` with ADADELTA learning rates.
+
+    Each iteration averages ``n_draws`` calls of ``estimate(vp)``, each
+    returning (grad_mu, grad_b, grad_d, elbo_sample, aux), clips the mean
+    gradient at +-``clip`` and steps. An iteration whose estimate raises
+    ValueError/LinAlgError or is non-finite is skipped: no step, NaN in the
+    ELBO trace. After every step ``on_step(t, auxes)`` receives the aux
+    values of that iteration's draws. Returns (elbo trace, trajectory of
+    mu[:s] at the start of each iteration, skipped count, clipped count).
+    """
+    states = [AdadeltaState.zeros(a.shape) for a in (vp.mu, vp.b, vp.d)]
+    elbo = np.full(iters, np.nan)
+    trajectory = np.empty((iters, s))
+    skipped = 0
+    clipped = 0
+    for t in range(iters):
+        trajectory[t] = vp.mu[:s]
+        try:
+            *grads, elbo_t, aux = estimate(vp)
+            auxes = [aux]
+            for _ in range(n_draws - 1):
+                *more, e, aux = estimate(vp)
+                for g, m in zip(grads, more):
+                    g += m
+                elbo_t += e
+                auxes.append(aux)
+            if n_draws > 1:
+                for g in grads:
+                    g /= n_draws
+                elbo_t /= n_draws
+        except (ValueError, np.linalg.LinAlgError):
+            skipped += 1
+            continue
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            skipped += 1
+            continue
+        elbo[t] = elbo_t
+        clipped += int(sum(np.sum(np.abs(g) > clip) for g in grads))
+        steps = []
+        for i, g in enumerate(grads):
+            delta, states[i] = adadelta_step(states[i], np.clip(g, -clip, clip))
+            steps.append(delta)
+        vp.mu = vp.mu + steps[0]
+        vp.b = (vp.b + steps[1]) * vp.mask
+        vp.d = vp.d + steps[2]
+        if on_step is not None:
+            on_step(t, auxes)
+    return elbo, trajectory, skipped, clipped
+
+
+def _fit_flags(skipped: int, clipped: int, iters: int) -> dict:
+    return {"skipped_iterations": skipped, "clipped_coordinates": clipped,
+            "flagged": bool(skipped > 0.01 * iters)}
+
+
 def jvb_fit(target, init: np.ndarray, iters: int, p: int,
             rng: np.random.Generator, clip: float = _CLIP,
             summary_draws: int = _SUMMARY_DRAWS, n_draws_per_iter: int = 1,
@@ -327,48 +361,11 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
     if init.shape != (dim,):
         raise ValueError(f"init has shape {init.shape}, expected ({dim},)")
     vp = VParams.initial(init, p)
-    st_mu = AdadeltaState.zeros(dim)
-    st_b = AdadeltaState.zeros((dim, p))
-    st_d = AdadeltaState.zeros(dim)
-    elbo = np.full(iters, np.nan)
-    trajectory = np.empty((iters, s))
-    skipped = 0
-    clipped = 0
-    for t in range(iters):
-        trajectory[t] = vp.mu[:s]
-        try:
-            g_mu, g_b, g_d, elbo_t = jvb_gradient_estimate(vp, target, rng)
-            if n_draws_per_iter > 1:
-                for _ in range(n_draws_per_iter - 1):
-                    a_mu, a_b, a_d, a_e = jvb_gradient_estimate(vp, target, rng)
-                    g_mu += a_mu
-                    g_b += a_b
-                    g_d += a_d
-                    elbo_t += a_e
-                g_mu /= n_draws_per_iter
-                g_b /= n_draws_per_iter
-                g_d /= n_draws_per_iter
-                elbo_t /= n_draws_per_iter
-        except (ValueError, np.linalg.LinAlgError):
-            skipped += 1
-            continue
-        if not (np.all(np.isfinite(g_mu)) and np.all(np.isfinite(g_b))
-                and np.all(np.isfinite(g_d))):
-            skipped += 1
-            continue
-        elbo[t] = elbo_t
-        clipped += int(np.sum(np.abs(g_mu) > clip) + np.sum(np.abs(g_b) > clip)
-                       + np.sum(np.abs(g_d) > clip))
-        d_mu, st_mu = adadelta_step(st_mu, np.clip(g_mu, -clip, clip))
-        d_b, st_b = adadelta_step(st_b, np.clip(g_b, -clip, clip))
-        d_d, st_d = adadelta_step(st_d, np.clip(g_d, -clip, clip))
-        vp.mu = vp.mu + d_mu
-        vp.b = (vp.b + d_b) * vp.mask
-        vp.d = vp.d + d_d
+    elbo, trajectory, skipped, clipped = _sga(
+        vp, lambda v: (*jvb_gradient_estimate(v, target, rng), None),
+        iters, s, n_draws_per_iter, clip)
     theta_mean, theta_sd = _theta_summaries(target, vp, s, rng, summary_draws)
     yu_sd = vp.marginal_sd()[s:]
-    flags = {"skipped_iterations": skipped, "clipped_coordinates": clipped,
-             "flagged": bool(skipped > 0.01 * iters)}
     return FitResult(method="jvb", mechanism=target.mechanism, seed=seed,
                      iterations=iters, p=p, vparams=vp, elbo_trace=elbo,
                      elbo_label="elbo", mean_trajectory=trajectory,
@@ -377,14 +374,13 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
                      yu_index=target.pattern.unobserved_idx.copy(),
                      yu_mean=vp.mu[s:].copy(), yu_sd=yu_sd,
                      tuning={"clip": clip, "draws_per_iteration": n_draws_per_iter},
-                     flags=flags,
+                     flags=_fit_flags(skipped, clipped, iters),
                      elapsed_seconds=time.perf_counter() - start)
 
 
 def _sample_yu(target, theta, cfg: McmcConfig, rng, y_u_prev, plan: GmrfPlan):
     """Step 5 of the outer loop: one y_u draw for the current theta."""
-    phi = _phi_from_theta(target, theta)
-    target._check_rho(phi.rho)
+    phi, sel = target.model_params(theta)
     pattern = target.pattern
 
     def direct_draw():
@@ -399,7 +395,6 @@ def _sample_yu(target, theta, cfg: McmcConfig, rng, y_u_prev, plan: GmrfPlan):
         out = gibbs_sweep(phi, target.y_obs, pattern, cfg.partition, target.x,
                           target.weights, cfg.n1, rng, y0, plan=plan)
         return out, np.nan
-    sel = _selection_from_theta(target, theta)
     init = y_u_prev if (cfg.warm_start and y_u_prev is not None) else None
     if cfg.scheme == "nob":
         y_u, acc = mcmc_nob(phi, sel, target.y_obs, pattern, target.x,
@@ -432,72 +427,38 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     if init.shape != (s,):
         raise ValueError(f"init has shape {init.shape}, expected ({s},)")
     vp = VParams.initial(init, p)
-    st_mu = AdadeltaState.zeros(s)
-    st_b = AdadeltaState.zeros((s, p))
-    st_d = AdadeltaState.zeros(s)
-    elbo = np.full(iters, np.nan)
-    trajectory = np.empty((iters, s))
     window_start = int(np.floor(iters * (1.0 - yu_window)))
     n_u = target.n_u
     yu_count = 0
     yu_sum = np.zeros(n_u)
     yu_sumsq = np.zeros(n_u)
     acc_history = []
-    skipped = 0
-    clipped = 0
     y_u_prev = None
     plan = _gmrf_plan(target, sampler_cfg.partition) if n_u > 0 else None
-    for t in range(iters):
-        trajectory[t] = vp.mu
-        try:
-            acc_samples = []
-            g_mu = g_b = g_d = proxy = None
-            for _ in range(n_draws_per_iter):
-                theta, draw = draw_variational(vp, rng)
-                if n_u > 0:
-                    y_u, acc = _sample_yu(target, theta, sampler_cfg, rng, y_u_prev,
-                                          plan)
-                    y_u_prev = y_u
-                else:
-                    y_u, acc = np.empty(0), np.nan
-                acc_samples.append(acc)
-                a_mu, a_b, a_d, a_p = hvb_gradient_estimate(vp, target, y_u,
-                                                            theta, draw, rng=rng)
-                if g_mu is None:
-                    g_mu, g_b, g_d, proxy = a_mu, a_b, a_d, a_p
-                else:
-                    g_mu += a_mu
-                    g_b += a_b
-                    g_d += a_d
-                    proxy += a_p
-            if n_draws_per_iter > 1:
-                g_mu /= n_draws_per_iter
-                g_b /= n_draws_per_iter
-                g_d /= n_draws_per_iter
-                proxy /= n_draws_per_iter
-            finite_draws = [a for a in acc_samples if np.isfinite(a)]
-            acc = float(np.mean(finite_draws)) if finite_draws else np.nan
-        except (ValueError, np.linalg.LinAlgError):
-            skipped += 1
-            continue
-        if not (np.all(np.isfinite(g_mu)) and np.all(np.isfinite(g_b))
-                and np.all(np.isfinite(g_d))):
-            skipped += 1
-            continue
-        elbo[t] = proxy
-        acc_history.append(acc)
-        clipped += int(np.sum(np.abs(g_mu) > clip) + np.sum(np.abs(g_b) > clip)
-                       + np.sum(np.abs(g_d) > clip))
-        d_mu, st_mu = adadelta_step(st_mu, np.clip(g_mu, -clip, clip))
-        d_b, st_b = adadelta_step(st_b, np.clip(g_b, -clip, clip))
-        d_d, st_d = adadelta_step(st_d, np.clip(g_d, -clip, clip))
-        vp.mu = vp.mu + d_mu
-        vp.b = (vp.b + d_b) * vp.mask
-        vp.d = vp.d + d_d
-        if t >= window_start and n_u > 0:
+
+    def estimate(v):
+        nonlocal y_u_prev
+        theta, draw = draw_variational(v, rng)
+        if n_u > 0:
+            y_u, acc = _sample_yu(target, theta, sampler_cfg, rng, y_u_prev, plan)
+            y_u_prev = y_u
+        else:
+            y_u, acc = np.empty(0), np.nan
+        return (*hvb_gradient_estimate(v, target, y_u, theta, draw, rng=rng),
+                (y_u, acc))
+
+    def on_step(t, draws):
+        nonlocal yu_count, yu_sum, yu_sumsq
+        finite_draws = [acc for _, acc in draws if np.isfinite(acc)]
+        acc_history.append(float(np.mean(finite_draws)) if finite_draws else np.nan)
+        if t >= window_start:
+            y_u = draws[-1][0]
             yu_count += 1
             yu_sum += y_u
             yu_sumsq += y_u ** 2
+
+    elbo, trajectory, skipped, clipped = _sga(vp, estimate, iters, s,
+                                              n_draws_per_iter, clip, on_step)
     if yu_count > 1:
         yu_mean = yu_sum / yu_count
         var = (yu_sumsq - yu_count * yu_mean ** 2) / (yu_count - 1)
@@ -508,9 +469,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     theta_mean, theta_sd = _theta_summaries(target, vp, s, rng, summary_draws)
     warning = _smooth_warning(acc_history)
     finite_acc = [a for a in acc_history if np.isfinite(a)]
-    flags = {"skipped_iterations": skipped, "clipped_coordinates": clipped,
-             "flagged": bool(skipped > 0.01 * iters),
-             "elbo_is_proxy": True}
+    flags = {**_fit_flags(skipped, clipped, iters), "elbo_is_proxy": True}
     if warning:
         flags["acceptance_warning"] = warning
     tuning = {"scheme": sampler_cfg.scheme, "n1": sampler_cfg.n1,
@@ -542,9 +501,15 @@ def _validate_sampler(mechanism: str, cfg: McmcConfig) -> None:
 
 def hmc_fit(target, cfg, init_theta: np.ndarray, rng: np.random.Generator,
             tune: bool = True, seed: int | None = None) -> FitResult:
-    """Run the leapfrog HMC baseline and package chain summaries."""
-    from .samplers import HmcConfig, hmc_run, tune_step_size
+    """Run the leapfrog HMC baseline and package chain summaries.
 
+    Needs the exact trace backend (n <= ``exact_max_n``): the leapfrog takes
+    no RNG, because a stochastic gradient would break the reversibility the
+    accept step relies on."""
+    if target.ops.trace_method != "spectrum":
+        raise ValueError(f"HMC needs the exact spectrum trace backend; this target "
+                         f"uses the {target.ops.trace_method} backend at "
+                         f"n = {target.n}")
     start = time.perf_counter()
     y_u0 = draw_initial_yu(target, init_theta, rng)
     eps = cfg.step_size

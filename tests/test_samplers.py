@@ -15,7 +15,7 @@ from conftest import dense_sem_cov, random_instance, random_selection
 def build_view(w, pattern, x, rho):
     m = precision_matrix(rho, w)
     return partition(pattern.observed_idx, pattern.unobserved_idx, w.n,
-                     x=x, w=w, m_y=m)
+                     x=x, m_y=m)
 
 
 def schur_conditional(params, w, x, pattern, y_o):
@@ -83,7 +83,7 @@ def test_factor_failure_is_loud_and_names_rho(grid4):
     x, params, y, pattern, _ = random_instance(grid4, 40)
     negated = -precision_matrix(params.rho, grid4)
     view = partition(pattern.observed_idx, pattern.unobserved_idx, grid4.n,
-                     x=x, w=grid4, m_y=negated)
+                     x=x, m_y=negated)
     with pytest.raises(np.linalg.LinAlgError, match=f"rho={params.rho}"):
         mar_conditional(params, y[pattern.observed_idx], view)
     factor = GmrfFactor(negated, pattern.unobserved_idx)
@@ -402,14 +402,8 @@ class StandardGaussian:
     S = 2
     n_u = 0
 
-    def log_h(self, theta, y_u):
-        return -0.5 * float(theta @ theta)
-
-    def grad_log_h_theta(self, theta, y_u):
-        return -theta
-
-    def grad_log_h_yu(self, theta, y_u):
-        return np.empty(0)
+    def log_h_and_grads(self, theta, y_u, rng=None):
+        return -0.5 * float(theta @ theta), -theta, np.empty(0)
 
 
 def test_hmc_standard_gaussian_moments():
@@ -436,13 +430,11 @@ def test_leapfrog_energy_error_second_order():
     s0 = rng.standard_normal(2)
 
     def drift(eps, n_steps):
-        chi, s = chi0.copy(), s0.copy()
-        logh0 = target.log_h(chi, np.empty(0))
-        h0 = -logh0 + 0.5 * s @ s
-        for _ in range(n_steps):
-            chi, s, logh = leapfrog(target, chi, s, eps)
-        h1 = -target.log_h(chi, np.empty(0)) + 0.5 * s @ s
-        return abs(h1 - h0)
+        logh0, g_t, _ = target.log_h_and_grads(chi0, np.empty(0))
+        h0 = -logh0 + 0.5 * s0 @ s0
+        # the integrator hmc_run calls: n_steps steps with merged half-steps
+        _, s, logh1, _ = leapfrog(target, chi0.copy(), s0.copy(), g_t, eps, n_steps)
+        return abs(-logh1 + 0.5 * s @ s - h0)
 
     # fixed trajectory length T = eps * n: halving eps should shrink the
     # energy error by ~4 (second order)

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from spatialvb import (AdadeltaState, McmcConfig, VParams, adadelta_step,
+from spatialvb import (AdadeltaState, HmcConfig, McmcConfig, TargetDensity,
+                       VParams, adadelta_step,
                        draw_variational, grad_log_q, hvb_fit,
                        hvb_gradient_estimate, jvb_fit, jvb_gradient_estimate,
                        log_q, woodbury_logdet, woodbury_solve)
-from spatialvb.vb import structural_mask, _estimator_pieces
+from spatialvb.vb import (default_init_theta, hmc_fit, structural_mask,
+                          _estimator_pieces)
 
-from toy_targets import GaussianTarget, ZeroTarget
+from conftest import random_instance
+from toy_targets import FailingTarget, GaussianTarget, ZeroTarget
 
 
 def make_vp(dim, p, seed, b_scale=0.6, d_scale=0.8):
@@ -248,21 +251,16 @@ def test_hvb_estimator_matches_jvb_theta_block_when_no_yu_gradient():
             import types
             self.pattern = types.SimpleNamespace(unobserved_idx=np.arange(n_u))
 
-        def log_h(self, theta, y_u):
-            return super().log_h(theta, np.empty(0))
-
-        def grad_log_h_theta(self, theta, y_u, rng=None):
-            return super().grad_log_h_theta(theta, np.empty(0))
-
-        def grad_log_h_yu(self, theta, y_u):
-            return np.zeros(n_u)
+        def log_h_and_grads(self, theta, y_u, rng=None):
+            logh, g_theta, _ = super().log_h_and_grads(theta, np.empty(0))
+            return logh, g_theta, np.zeros(n_u)
 
     target = ThetaOnly()
     vp_theta = make_vp(s, 1, 19)
     theta, draw = draw_variational(vp_theta, np.random.default_rng(20))
     y_u = np.zeros(n_u)
     g_mu, g_b, g_d, _ = hvb_gradient_estimate(vp_theta, target, y_u, theta, draw)
-    g = target.grad_log_h_theta(theta, y_u)
+    _, g, _ = target.log_h_and_grads(theta, y_u)
     corr = woodbury_solve(vp_theta.b, vp_theta.d,
                           vp_theta.b @ draw.eta + vp_theta.d * draw.eps)
     np.testing.assert_allclose(g_mu, g + corr, atol=1e-12)
@@ -418,3 +416,50 @@ def test_multi_draw_estimator_knob():
                     seed=8, n_draws_per_iter=2)
     assert res_h.tuning["draws_per_iteration"] == 2
     np.testing.assert_allclose(res_h.vparams.mu, [1.0, -1.0], atol=0.1)
+
+
+def _fit(kind, target, n_draws, iters=30):
+    rng = np.random.default_rng(0)
+    if kind == "jvb":
+        return jvb_fit(target, np.zeros(3), iters, 1, rng, n_draws_per_iter=n_draws)
+    return hvb_fit(target, np.zeros(3), iters, 1, McmcConfig(scheme="direct", n1=1),
+                   rng, n_draws_per_iter=n_draws)
+
+
+# (draws per iteration, failing calls, iterations they fail): a failed draw
+# ends its iteration, so the iteration's later draws are never made
+_FAILURES = [(1, {0, 7, 8, 25}, {0, 7, 8, 25}),
+             (2, {1, 15, 17, 41}, {0, 7, 8, 20}),
+             (2, {0, 3, 17}, {0, 2, 9})]
+
+
+@pytest.mark.parametrize("n_draws,fail_calls,failed", _FAILURES)
+@pytest.mark.parametrize("kind", ["jvb", "hvb"])
+def test_sga_driver_skips_exactly_the_failed_iterations(kind, n_draws, fail_calls,
+                                                        failed):
+    res = _fit(kind, FailingTarget(fail_calls), n_draws)
+    assert res.flags["skipped_iterations"] == len(failed)
+    assert res.flags["flagged"]
+    assert set(np.flatnonzero(np.isnan(res.elbo_trace))) == failed
+    # a skipped iteration takes no step
+    for t in failed:
+        np.testing.assert_array_equal(res.mean_trajectory[t + 1],
+                                      res.mean_trajectory[t])
+
+
+@pytest.mark.parametrize("kind", ["jvb", "hvb"])
+def test_sga_driver_propagates_other_errors(kind):
+    with pytest.raises(IndexError, match="call 4"):
+        _fit(kind, FailingTarget({4}, IndexError), 1)
+
+
+def test_hmc_fit_refuses_stochastic_trace_backend(grid4):
+    x, _, y, pattern, _ = random_instance(grid4, 30, missing=0.25)
+    target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
+                           pattern=pattern, mechanism="mar", exact_max_n=1)
+    rng = np.random.default_rng(5)
+    cfg = HmcConfig(n_samples=5, n_leapfrog=2, step_size=0.1)
+    with pytest.raises(ValueError, match="hutchinson backend at n = 16"):
+        hmc_fit(target, cfg, default_init_theta(target), rng)
+    # refused before any work: the stream is untouched
+    assert rng.random() == np.random.default_rng(5).random()

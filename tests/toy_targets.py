@@ -27,17 +27,11 @@ class GaussianTarget:
     def _joint(self, theta, y_u):
         return np.concatenate([np.atleast_1d(theta), np.atleast_1d(y_u)])
 
-    def log_h(self, theta, y_u):
+    def log_h_and_grads(self, theta, y_u, rng=None):
         dev = self._joint(theta, y_u) - self.mean
-        return float(self._const - 0.5 * dev @ self.prec @ dev)
-
-    def grad_log_h_theta(self, theta, y_u, rng=None):
-        dev = self._joint(theta, y_u) - self.mean
-        return -(self.prec @ dev)[:self.S]
-
-    def grad_log_h_yu(self, theta, y_u):
-        dev = self._joint(theta, y_u) - self.mean
-        return -(self.prec @ dev)[self.S:]
+        logh = float(self._const - 0.5 * dev @ self.prec @ dev)
+        grad = -(self.prec @ dev)
+        return logh, grad[:self.S], grad[self.S:]
 
     def constrain(self, arr):
         return np.array(arr, dtype=float, copy=True)
@@ -55,11 +49,22 @@ class ZeroTarget(GaussianTarget):
     def __init__(self, dim, s=None):
         super().__init__(np.zeros(dim), np.eye(dim), s=s)
 
-    def log_h(self, theta, y_u):
-        return 0.0
+    def log_h_and_grads(self, theta, y_u, rng=None):
+        return 0.0, np.zeros(self.S), np.zeros(self.n_u)
 
-    def grad_log_h_theta(self, theta, y_u, rng=None):
-        return np.zeros(self.S)
 
-    def grad_log_h_yu(self, theta, y_u):
-        return np.zeros(self.n_u)
+class FailingTarget(GaussianTarget):
+    """Standard normal over 3 coordinates whose log_h_and_grads raises
+    ``error`` on the chosen calls, counted from 0."""
+
+    def __init__(self, fail_calls, error=ValueError):
+        super().__init__(np.zeros(3), np.eye(3))
+        self.fail_calls = set(fail_calls)
+        self.error = error
+        self.calls = 0
+
+    def log_h_and_grads(self, theta, y_u, rng=None):
+        call, self.calls = self.calls, self.calls + 1
+        if call in self.fail_calls:
+            raise self.error(f"forced failure on call {call}")
+        return super().log_h_and_grads(theta, y_u, rng)
