@@ -16,7 +16,7 @@ import numpy as np
 from .missing import (MissingPattern, SelectionModel, selection_grad_psi,
                       selection_grad_yu, selection_log_prob)
 from .sem import RHO_MARGIN, PrecisionOps, SemParams, drho_dlogit, rho_from_logit
-from .weights import SpatialWeights, rho_interval
+from .weights import SpatialWeights
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class PriorSpec:
 class TargetDensity:
     """log h(theta, y_u) for the spatial error model under MAR or MNAR.
 
-    Immutable after construction; gradient evaluations may run concurrently.
-    The trace/log-determinant backend is exact (precomputed spectrum of W)
-    up to ``exact_max_n`` units and stochastic above.
+    Immutable after construction; evaluations may run concurrently and are
+    deterministic functions of their inputs. The trace/log-determinant
+    backend is the precomputed spectrum of W up to ``exact_max_n`` units and
+    one complex-step sparse LU per evaluation above; both are exact.
     """
 
     def __init__(self, x: np.ndarray, weights: SpatialWeights,
@@ -51,7 +52,7 @@ class TargetDensity:
                  priors: PriorSpec | None = None,
                  x_star: np.ndarray | None = None,
                  mechanism: str = "mar",
-                 exact_max_n: int = 2500, n_probes: int = 20):
+                 exact_max_n: int = 2500):
         if mechanism not in ("mar", "mnar"):
             raise ValueError(f"unknown mechanism {mechanism!r}")
         if mechanism == "mnar" and x_star is None:
@@ -71,12 +72,10 @@ class TargetDensity:
         if y_obs.shape != (pattern.n_o,):
             raise ValueError(f"y_obs has shape {y_obs.shape}, expected ({pattern.n_o},)")
         self.y_obs = y_obs
-        self.ops = PrecisionOps(weights, exact_max_n=exact_max_n, n_probes=n_probes)
-        if self.ops.eigenvalues is not None:
-            lam_min = float(self.ops.eigenvalues.min())
-            self.rho_bounds = ((1.0 / lam_min) if lam_min < 0 else -np.inf, 1.0)
-        else:
-            self.rho_bounds = rho_interval(weights)
+        self.ops = PrecisionOps(weights, exact_max_n=exact_max_n)
+        # the spectrum of a row-normalised W lies in [-1, 1], so (-1, 1), the
+        # image of rho = tanh(l / 2), is inside the admissible interval
+        self.rho_bounds = (-1.0, 1.0)
         self.n_beta = self.x.shape[1]
         self._i_gamma = self.n_beta
         self._i_lambda = self.n_beta + 1
@@ -158,12 +157,13 @@ class TargetDensity:
         m_r = ar - rho * (w.T @ ar)     # M_y r = A^T A r
         quad = float(ar @ ar)           # r^T M_y r
         return SimpleNamespace(beta=beta, gamma=gamma, lam=lam, sel=sel, rho=rho,
-                               exp_ng=np.exp(-gamma), y=y, r=r, m_r=m_r, quad=quad)
+                               exp_ng=np.exp(-gamma), y=y, r=r, m_r=m_r, quad=quad,
+                               pivots=self.ops.pivots(rho))
 
     def _value(self, s: SimpleNamespace) -> float:
         pr = self.priors
         val = (-0.5 * self.n * s.gamma
-               + 0.5 * self.ops.logdet_m(s.rho)
+               + 0.5 * self.ops.logdet_m(s.rho, s.pivots)
                - 0.5 * s.exp_ng * s.quad
                - 0.5 * float(s.beta @ s.beta) / pr.var_beta
                - 0.5 * s.gamma ** 2 / pr.var_gamma
@@ -174,8 +174,7 @@ class TargetDensity:
             val -= 0.5 * float(psi @ psi) / pr.var_psi
         return float(val)
 
-    def _grad_theta(self, s: SimpleNamespace,
-                    rng: np.random.Generator | None) -> np.ndarray:
+    def _grad_theta(self, s: SimpleNamespace) -> np.ndarray:
         pr = self.priors
         g_beta = s.exp_ng * (self.x.T @ s.m_r) - s.beta / pr.var_beta
         g_gamma = -0.5 * self.n + 0.5 * s.exp_ng * s.quad - s.gamma / pr.var_gamma
@@ -183,7 +182,7 @@ class TargetDensity:
         w = self.weights.matrix
         wr = w @ s.r
         dm_r = -(w.T @ s.r) - wr + 2.0 * s.rho * (w.T @ wr)
-        trace = self.ops.trace_minv_dm(s.rho, rng=rng)
+        trace = self.ops.trace_minv_dm(s.rho, s.pivots)
         dr_dl = drho_dlogit(s.rho)
         g_lambda = ((0.5 * trace - 0.5 * s.exp_ng * float(s.r @ dm_r)) * dr_dl
                     - s.lam / pr.var_rho_logit)
@@ -206,15 +205,13 @@ class TargetDensity:
     def log_h(self, theta: np.ndarray, y_u: np.ndarray) -> float:
         return self._value(self._prepare(theta, y_u))
 
-    def grad_log_h_theta(self, theta: np.ndarray, y_u: np.ndarray,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
-        return self._grad_theta(self._prepare(theta, y_u), rng)
+    def grad_log_h_theta(self, theta: np.ndarray, y_u: np.ndarray) -> np.ndarray:
+        return self._grad_theta(self._prepare(theta, y_u))
 
     def grad_log_h_yu(self, theta: np.ndarray, y_u: np.ndarray) -> np.ndarray:
         return self._grad_yu(self._prepare(theta, y_u))
 
-    def log_h_and_grads(self, theta: np.ndarray, y_u: np.ndarray,
-                        rng: np.random.Generator | None = None):
+    def log_h_and_grads(self, theta: np.ndarray, y_u: np.ndarray):
         """(log h, grad wrt theta, grad wrt y_u) sharing one preparation pass."""
         s = self._prepare(theta, y_u)
-        return self._value(s), self._grad_theta(s, rng), self._grad_yu(s)
+        return self._value(s), self._grad_theta(s), self._grad_yu(s)

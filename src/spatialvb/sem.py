@@ -3,9 +3,9 @@
 The response of the model is multivariate Gaussian with mean X beta and
 covariance sigma2 * (A^T A)^{-1}, where A = I - rho W. All operations here
 are pure; the heavy pieces (log-determinant, trace of M^{-1} dM/drho) are
-served by :class:`PrecisionOps`, which precomputes the spectrum of W once
-for small/medium n and falls back to sparse-LU plus a stochastic trace
-estimator for large n.
+served by :class:`PrecisionOps`, exactly and deterministically at every n:
+from the spectrum of W, computed once, for small/medium n, and from one
+complex-step sparse LU per rho for large n.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class PrecisionPattern:
     zeros, so its pattern shrinks to the diagonal at rho = 0.) Positions
     into ``pattern`` found once therefore hold at every rho.
 
-    Pass a precomputed admissible ``interval`` to skip the eigensolve.
+    Pass a precomputed admissible ``interval`` to skip :func:`rho_interval`.
     """
 
     def __init__(self, w: SpatialWeights,
@@ -122,83 +122,76 @@ def precision_matrix(rho: float, w: SpatialWeights,
     """M_y = (I - rho W)^T (I - rho W), sparse symmetric positive definite,
     on the fixed pattern of :class:`PrecisionPattern`.
 
-    Pass a precomputed admissible ``interval`` to skip the eigensolve.
+    Pass a precomputed admissible ``interval`` to skip :func:`rho_interval`.
     """
     return PrecisionPattern(w, interval).matrix(rho)
 
 
-def spatial_filter(rho: float, w: SpatialWeights) -> sparse.csr_matrix:
+def spatial_filter(rho: float | complex, w: SpatialWeights) -> sparse.csr_matrix:
     """A = I - rho W."""
     n = w.n
     return (sparse.identity(n, format="csr") - rho * w.matrix).tocsr()
 
 
-def _logdet_via_splu(a: sparse.csr_matrix) -> float:
-    """log det(A) for A with positive determinant, via sparse LU."""
-    lu = splu(a.tocsc())
-    diag = lu.U.diagonal()
-    if np.any(diag == 0.0):
-        raise np.linalg.LinAlgError("singular spatial filter; rho out of range?")
-    return float(np.sum(np.log(np.abs(diag))))
+# imaginary step of the complex-step derivative (Martins, Sturdza & Alonso
+# 2003): Im f(rho + ih) / h = f'(rho) with no cancellation, so h can be tiny
+_COMPLEX_STEP = 1e-30
 
 
 class PrecisionOps:
     """Log-determinant and trace machinery for M_y(rho) on fixed weights.
 
-    For n <= exact_max_n the spectrum of W is computed once, giving exact
-    O(n) evaluations of log|M_y| = 2 sum log(1 - rho lam_i) and
+    Both backends are exact and deterministic. For n <= exact_max_n the
+    spectrum of W is computed once, giving O(n) evaluations of
+    log|M_y| = 2 sum log(1 - rho lam_i) and
     tr{M_y^{-1} dM_y/drho} = -2 sum lam_i / (1 - rho lam_i). Above the
-    threshold, log|M_y| uses a sparse LU of A and the trace a Hutchinson
-    estimator with Rademacher probes.
+    threshold, one sparse LU of I - (rho + ih) W per rho gives both from
+    its pivots u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
+    differentiation, tr{M_y^{-1} dM_y/drho} = 2 sum (Im u_ii / Re u_ii) / h.
     """
 
-    def __init__(self, w: SpatialWeights, exact_max_n: int = 2500, n_probes: int = 20):
+    n_probes = 0  # no stochastic probes remain
+
+    def __init__(self, w: SpatialWeights, exact_max_n: int = 2500):
         self.weights = w
-        self.n_probes = n_probes
-        if w.n <= exact_max_n:
-            self.eigenvalues = weight_eigenvalues(w)
-            self.trace_method = "spectrum"
-        else:
-            self.eigenvalues = None
-            self.trace_method = "hutchinson"
-        self._lu_cache: tuple[float, object] | None = None
+        self.eigenvalues = weight_eigenvalues(w) if w.n <= exact_max_n else None
 
-    def _lu(self, rho: float):
-        # one-slot cache: logdet and trace are evaluated at the same rho
-        # within a single posterior evaluation; read-once then swap keeps
-        # concurrent use safe (worst case a duplicate factorization)
-        cached = self._lu_cache
-        if cached is None or cached[0] != rho:
-            cached = (rho, splu(spatial_filter(rho, self.weights).tocsc()))
-            self._lu_cache = cached
-        return cached[1]
+    def pivots(self, rho: float) -> np.ndarray | None:
+        """The complex pivots u_ii of I - (rho + ih) W; None when the spectrum
+        is held. Pass them to :meth:`logdet_m` and :meth:`trace_minv_dm` at
+        the same rho to share one factorization.
 
-    def logdet_m(self, rho: float) -> float:
+        The LU does not pivot: for |rho| < 1 and row-normalised W the matrix
+        is strictly row diagonally dominant, symmetric reordering keeps that,
+        and elimination then meets only pivots with positive real part.
+        """
+        if self.eigenvalues is not None:
+            return None
+        a = spatial_filter(complex(rho, _COMPLEX_STEP), self.weights).tocsc()
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        u = lu.U.diagonal()
+        if not (np.all(u.real > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
+            raise np.linalg.LinAlgError(
+                f"I - rho W has a non-positive pivot at rho={rho}; rho out of range?")
+        return u
+
+    def logdet_m(self, rho: float, pivots: np.ndarray | None = None) -> float:
         """log |M_y| = 2 log det(I - rho W)."""
         if self.eigenvalues is not None:
             t = 1.0 - rho * self.eigenvalues
             if np.any(t <= 0.0):
                 raise ValueError(f"rho={rho} outside admissible interval")
             return float(2.0 * np.sum(np.log(t)))
-        diag = self._lu(rho).U.diagonal()
-        if np.any(diag == 0.0):
-            raise np.linalg.LinAlgError("singular spatial filter; rho out of range?")
-        return float(2.0 * np.sum(np.log(np.abs(diag))))
+        u = self.pivots(rho) if pivots is None else pivots
+        return float(2.0 * np.sum(np.log(u.real)))
 
-    def trace_minv_dm(self, rho: float, rng: np.random.Generator | None = None) -> float:
+    def trace_minv_dm(self, rho: float, pivots: np.ndarray | None = None) -> float:
         """tr{M_y^{-1} dM_y/drho} = d log|M_y| / drho = -2 tr{A^{-1} W}."""
         if self.eigenvalues is not None:
             return float(-2.0 * np.sum(self.eigenvalues / (1.0 - rho * self.eigenvalues)))
-        if rng is None:
-            raise ValueError("stochastic trace estimation needs an RNG stream")
-        w = self.weights.matrix
-        lu = self._lu(rho)
-        n = self.weights.n
-        acc = 0.0
-        for _ in range(self.n_probes):
-            v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            acc += float(v @ lu.solve(w @ v))
-        return -2.0 * acc / self.n_probes
+        u = self.pivots(rho) if pivots is None else pivots
+        return float(2.0 * np.sum(u.imag / u.real) / _COMPLEX_STEP)
 
 
 def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
@@ -218,10 +211,9 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
         raise ValueError(f"design shape {x.shape} inconsistent with n={n}, "
                          f"len(beta)={params.beta.shape[0]}")
     params.validate_rho(w)
-    if ops is not None:
-        logdet = ops.logdet_m(params.rho)
-    else:
-        logdet = 2.0 * _logdet_via_splu(spatial_filter(params.rho, w))
+    if ops is None:
+        ops = PrecisionOps(w, exact_max_n=0)
+    logdet = ops.logdet_m(params.rho)
     r = y - x @ params.beta
     ar = r - params.rho * (w.matrix @ r)
     quad = float(ar @ ar)  # r^T A^T A r

@@ -147,7 +147,7 @@ def jvb_gradient_estimate(vp: VParams, target, rng: np.random.Generator):
     """
     value, draw = draw_variational(vp, rng)
     s = target.S
-    logh, g_theta, g_yu = target.log_h_and_grads(value[:s], value[s:], rng=rng)
+    logh, g_theta, g_yu = target.log_h_and_grads(value[:s], value[s:])
     g = np.concatenate([g_theta, g_yu])
     grad_mu, grad_b, grad_d = _estimator_pieces(vp, g, draw)
     elbo = logh - log_q(vp, value)
@@ -155,15 +155,14 @@ def jvb_gradient_estimate(vp: VParams, target, rng: np.random.Generator):
 
 
 def hvb_gradient_estimate(vp_theta: VParams, target, y_u_sample: np.ndarray,
-                          theta: np.ndarray, draw: ReparamDraw,
-                          rng: np.random.Generator | None = None):
+                          theta: np.ndarray, draw: ReparamDraw):
     """Gradient estimate for the theta-only family at a sampled y_u.
 
     theta must be the reparameterised value produced from ``draw``. Returns
     (grad_mu, grad_b, grad_d, elbo_proxy); the proxy log h - log q0 is a
     biased ELBO surrogate used only for trend monitoring.
     """
-    logh, g, _ = target.log_h_and_grads(theta, y_u_sample, rng=rng)
+    logh, g, _ = target.log_h_and_grads(theta, y_u_sample)
     grad_mu, grad_b, grad_d = _estimator_pieces(vp_theta, g, draw)
     proxy = logh - log_q(vp_theta, theta)
     return grad_mu, grad_b, grad_d, float(proxy)
@@ -444,7 +443,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
             y_u_prev = y_u
         else:
             y_u, acc = np.empty(0), np.nan
-        return (*hvb_gradient_estimate(v, target, y_u, theta, draw, rng=rng),
+        return (*hvb_gradient_estimate(v, target, y_u, theta, draw),
                 (y_u, acc))
 
     def on_step(t, draws):
@@ -501,15 +500,7 @@ def _validate_sampler(mechanism: str, cfg: McmcConfig) -> None:
 
 def hmc_fit(target, cfg, init_theta: np.ndarray, rng: np.random.Generator,
             tune: bool = True, seed: int | None = None) -> FitResult:
-    """Run the leapfrog HMC baseline and package chain summaries.
-
-    Needs the exact trace backend (n <= ``exact_max_n``): the leapfrog takes
-    no RNG, because a stochastic gradient would break the reversibility the
-    accept step relies on."""
-    if target.ops.trace_method != "spectrum":
-        raise ValueError(f"HMC needs the exact spectrum trace backend; this target "
-                         f"uses the {target.ops.trace_method} backend at "
-                         f"n = {target.n}")
+    """Run the leapfrog HMC baseline and package chain summaries."""
     start = time.perf_counter()
     y_u0 = draw_initial_yu(target, init_theta, rng)
     eps = cfg.step_size

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 
 class DegenerateUnitError(ValueError):
@@ -86,6 +87,64 @@ def row_normalize(w: SpatialWeights) -> SpatialWeights:
 _DENSE_EIG_MAX_N = 2000
 
 
+def _spanning_forest(m: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(component label, parent, depth) of every unit in a breadth-first
+    spanning forest of the graph of ``m``: one tree per connected component,
+    rooted at its lowest-numbered unit, which is its own parent at depth 0."""
+    n = m.shape[0]
+    _, labels = csgraph.connected_components(m, directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    # one search from an extra unit n linked to every root spans all components
+    coo = m.tocoo()
+    graph = sparse.csr_matrix(
+        (np.ones(coo.nnz + roots.size),
+         (np.concatenate([coo.row, np.full(roots.size, n)]),
+          np.concatenate([coo.col, roots]))), shape=(n + 1, n + 1))
+    dist, pred = csgraph.shortest_path(graph, directed=False, unweighted=True,
+                                       indices=n, return_predecessors=True)
+    parent = pred[:n].copy()
+    parent[roots] = roots
+    return labels, parent, dist[:n].astype(np.intp) - 1
+
+
+def _has_bipartite_component(m: sparse.csr_matrix) -> bool:
+    """True when some connected component is two-colourable by depth parity."""
+    labels, _, depth = _spanning_forest(m)
+    coo = m.tocoo()
+    same_side = depth[coo.row] % 2 == depth[coo.col] % 2  # closes an odd cycle
+    return np.unique(labels[coo.row[same_side]]).size < labels.max() + 1
+
+
+def _check_reversible(m: sparse.csr_matrix) -> None:
+    """Raise ValueError unless d_i m_ij = d_j m_ji on every edge for a
+    positive d (to 1e-12 relative), i.e. m = D^{-1} C with C symmetric. d is
+    fixed along a spanning forest (1 at each root), then every edge is
+    checked; O(nnz). ``m`` must store no explicit zeros."""
+    n = m.shape[0]
+    _, parent, depth = _spanning_forest(m)
+    units = np.flatnonzero(depth > 0)
+    ratio = np.ones(n)
+    ratio[units] = (np.asarray(m[parent[units], units]).ravel()
+                    / np.asarray(m[units, parent[units]]).ravel())
+    d = np.ones(n)
+    order = np.argsort(depth, kind="stable")
+    for level in np.split(order, np.cumsum(np.bincount(depth))[:-1])[1:]:
+        d[level] = d[parent[level]] * ratio[level]
+    a = (sparse.diags(d) @ m).tocsr()
+    a.sort_indices()
+    b = a.T.tocsr()
+    b.sort_indices()   # same pattern as a: b.data[k] is a_ji for a.data[k] = a_ij
+    bad = np.abs(a.data - b.data) > 1e-12 * np.maximum(a.data, b.data)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i = int(np.searchsorted(a.indptr, k, side="right") - 1)
+        j = int(a.indices[k])
+        raise ValueError(
+            f"weights are not of the form D^-1 C with C symmetric: no positive d "
+            f"gives d_i W_ij = d_j W_ji at (i, j) = ({i}, {j}), so W has no "
+            "symmetric form")
+
+
 def _min_eigenvalue_power(m: sparse.csr_matrix, tol: float = 1e-8,
                           max_iter: int = 10_000) -> float:
     """Smallest eigenvalue of a row-normalized W via power iteration.
@@ -116,12 +175,19 @@ def _min_eigenvalue_power(m: sparse.csr_matrix, tol: float = 1e-8,
 
 
 def rho_interval(w: SpatialWeights) -> tuple[float, float]:
-    """Admissible interval (1/lam_min(W), 1) for the spatial parameter."""
+    """Admissible interval (1/lam_min(W), 1) for the spatial parameter.
+
+    lam_min = -1 exactly when a connected component is bipartite (+1 on one
+    side and -1 on the other is then an eigenvector of the row-stochastic W).
+    Otherwise it is the least of :func:`weight_eigenvalues` up to 2,000 units
+    and a power-iteration estimate above.
+    """
     if not w.row_normalized:
         raise ValueError("rho_interval requires a row-normalized weight matrix")
-    if w.n <= _DENSE_EIG_MAX_N:
-        eigs = np.linalg.eigvals(w.matrix.toarray())
-        lam_min = float(eigs.real.min())
+    if _has_bipartite_component(w.matrix):
+        lam_min = -1.0
+    elif w.n <= _DENSE_EIG_MAX_N:
+        lam_min = float(weight_eigenvalues(w)[0])
     else:
         lam_min = _min_eigenvalue_power(w.matrix)
     if lam_min >= 0.0:
@@ -130,6 +196,14 @@ def rho_interval(w: SpatialWeights) -> tuple[float, float]:
 
 
 def weight_eigenvalues(w: SpatialWeights) -> np.ndarray:
-    """All eigenvalues of W (real parts; the spectrum is real for
-    row-normalized symmetric-pattern weights). Dense solve, O(n^3)."""
-    return np.sort(np.linalg.eigvals(w.matrix.toarray()).real)
+    """All eigenvalues of W in ascending order. Dense symmetric solve, O(n^3).
+
+    They are the eigenvalues of the symmetric S = sqrt(W o W^T), taken
+    elementwise. For W = D^{-1} C with C symmetric (row-normalised symmetric
+    weights, or symmetric W itself) S = D^{1/2} W D^{-1/2} is similar to W.
+    Any other W raises ValueError naming the first pair that breaks it.
+    """
+    m = w.matrix.tocsr(copy=True)
+    m.eliminate_zeros()
+    _check_reversible(m)
+    return np.linalg.eigvalsh(m.multiply(m.T).sqrt().toarray())

@@ -222,22 +222,33 @@ def test_priors_reject_nonpositive_variance():
         PriorSpec(var_beta=0.0)
 
 
-def test_stochastic_trace_path_through_fit(grid7):
-    # force the large-n backend (sparse LU + Hutchinson) and check a short
-    # HVB run tracks the exact-spectrum backend
+def test_lu_backend_path_through_fit(grid7):
+    # force the large-n backend (complex-step sparse LU): a short HVB run on
+    # the same data and seed matches the exact-spectrum backend to round-off
     from spatialvb import McmcConfig
     from spatialvb.vb import default_init_theta, hvb_fit
     x, params, y, pattern, _ = random_instance(grid7, 40, missing=0.25)
     y_obs = y[pattern.observed_idx]
     exact = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
                           mechanism="mar")
-    stochastic = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
-                               mechanism="mar", exact_max_n=1, n_probes=40)
-    assert stochastic.ops.trace_method == "hutchinson"
+    lu = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
+                       mechanism="mar", exact_max_n=1)
+    assert lu.ops.eigenvalues is None
     theta0 = default_init_theta(exact)
     cfg = McmcConfig(scheme="direct", n1=1)
     r_exact = hvb_fit(exact, theta0, 1500, 2, cfg, np.random.default_rng(3), seed=3)
-    r_stoch = hvb_fit(stochastic, theta0, 1500, 2, cfg, np.random.default_rng(3), seed=3)
-    assert r_stoch.flags["skipped_iterations"] == 0
-    # same data, same seed, different trace backend: summaries stay close
-    np.testing.assert_allclose(r_stoch.theta_mean, r_exact.theta_mean, atol=0.35)
+    r_lu = hvb_fit(lu, theta0, 1500, 2, cfg, np.random.default_rng(3), seed=3)
+    assert r_lu.flags["skipped_iterations"] == 0
+    np.testing.assert_allclose(r_lu.theta_mean, r_exact.theta_mean, atol=1e-8)
+
+
+def test_lu_backend_evaluations_are_deterministic():
+    from spatialvb import build_rook_grid_weights, row_normalize
+    w = row_normalize(build_rook_grid_weights(60))   # n = 3,600 > exact_max_n
+    target, theta, y_u, _ = make_target(w, 8)
+    assert target.ops.eigenvalues is None
+    first = target.log_h_and_grads(theta, y_u)
+    second = target.log_h_and_grads(theta, y_u)
+    assert first[0] == second[0]
+    for a, b in zip(first[1:], second[1:]):
+        np.testing.assert_array_equal(a, b)

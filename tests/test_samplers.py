@@ -402,7 +402,7 @@ class StandardGaussian:
     S = 2
     n_u = 0
 
-    def log_h_and_grads(self, theta, y_u, rng=None):
+    def log_h_and_grads(self, theta, y_u):
         return -0.5 * float(theta @ theta), -theta, np.empty(0)
 
 

@@ -116,30 +116,54 @@ def test_sparse_logdet_matches_dense_at_n400():
 
 
 def test_logdet_splu_path_matches_dense(grid7):
-    ops = PrecisionOps(grid7, exact_max_n=1)  # force the LU fallback
-    assert ops.trace_method == "hutchinson"
+    ops = PrecisionOps(grid7, exact_max_n=1)  # force the LU backend
+    assert ops.eigenvalues is None
     dense = np.linalg.slogdet(precision_matrix(0.7, grid7).toarray())[1]
     assert ops.logdet_m(0.7) == pytest.approx(dense, abs=1e-9)
 
 
+def _dense_trace_oracle(w, rho):
+    """tr{M_y^{-1} dM_y/drho} by dense solve."""
+    wd = w.matrix.toarray()
+    m = precision_matrix(rho, w).toarray()
+    return np.trace(np.linalg.solve(m, -(wd.T + wd) + 2 * rho * wd.T @ wd))
+
+
 def test_trace_identity_matches_dense_solve(grid4):
     ops = PrecisionOps(grid4)
-    w = grid4.matrix.toarray()
     for rho in (-0.5, 0.0, 0.3, 0.8):
-        m = precision_matrix(rho, grid4).toarray()
-        dm = -(w.T + w) + 2 * rho * w.T @ w
-        oracle = np.trace(np.linalg.solve(m, dm))
+        oracle = _dense_trace_oracle(grid4, rho)
         assert ops.trace_minv_dm(rho) == pytest.approx(oracle, rel=1e-10, abs=1e-10)
 
 
-def test_hutchinson_trace_is_consistent(grid7):
-    ops = PrecisionOps(grid7, exact_max_n=1, n_probes=4000)
-    rho = 0.6
-    w = grid7.matrix.toarray()
-    m = precision_matrix(rho, grid7).toarray()
-    oracle = np.trace(np.linalg.solve(m, -(w.T + w) + 2 * rho * w.T @ w))
-    est = ops.trace_minv_dm(rho, rng=np.random.default_rng(0))
-    assert est == pytest.approx(oracle, rel=0.05)
+@pytest.mark.parametrize("side", [7, 20])
+def test_lu_backend_is_exact(side):
+    # the complex-step LU gives log|M_y| and its rho-derivative to round-off
+    w = row_normalize(build_rook_grid_weights(side))
+    ops = PrecisionOps(w, exact_max_n=1)
+    for rho in (-0.9, 0.01, 0.5, 0.99):
+        dense = np.linalg.slogdet(precision_matrix(rho, w).toarray())[1]
+        pivots = ops.pivots(rho)
+        assert ops.logdet_m(rho) == ops.logdet_m(rho, pivots)
+        assert ops.logdet_m(rho, pivots) == pytest.approx(dense, abs=1e-9)
+        assert ops.trace_minv_dm(rho, pivots) == pytest.approx(
+            _dense_trace_oracle(w, rho), rel=1e-10)
+
+
+def test_lu_trace_is_the_derivative_of_the_logdet_above_cutoff():
+    w = row_normalize(build_rook_grid_weights(60))   # n = 3,600 > exact_max_n
+    ops = PrecisionOps(w)
+    assert ops.eigenvalues is None
+    h = 1e-5
+    for rho in (-0.6, 0.3, 0.9):
+        central = (ops.logdet_m(rho + h) - ops.logdet_m(rho - h)) / (2 * h)
+        assert ops.trace_minv_dm(rho) == pytest.approx(central, rel=1e-7)
+
+
+def test_lu_backend_refuses_rho_outside_unit_interval(grid4):
+    ops = PrecisionOps(grid4, exact_max_n=1)
+    with pytest.raises(np.linalg.LinAlgError, match="rho=1.5"):
+        ops.logdet_m(1.5)
 
 
 def test_unconstrained_known_values():

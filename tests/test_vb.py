@@ -251,7 +251,7 @@ def test_hvb_estimator_matches_jvb_theta_block_when_no_yu_gradient():
             import types
             self.pattern = types.SimpleNamespace(unobserved_idx=np.arange(n_u))
 
-        def log_h_and_grads(self, theta, y_u, rng=None):
+        def log_h_and_grads(self, theta, y_u):
             logh, g_theta, _ = super().log_h_and_grads(theta, np.empty(0))
             return logh, g_theta, np.zeros(n_u)
 
@@ -453,13 +453,22 @@ def test_sga_driver_propagates_other_errors(kind):
         _fit(kind, FailingTarget({4}, IndexError), 1)
 
 
-def test_hmc_fit_refuses_stochastic_trace_backend(grid4):
+def test_hmc_fit_on_lu_backend_matches_spectrum(grid4):
+    # the gradient is deterministic on both backends, so the same seed gives
+    # the same chain up to round-off in the trace
     x, _, y, pattern, _ = random_instance(grid4, 30, missing=0.25)
-    target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
-                           pattern=pattern, mechanism="mar", exact_max_n=1)
-    rng = np.random.default_rng(5)
-    cfg = HmcConfig(n_samples=5, n_leapfrog=2, step_size=0.1)
-    with pytest.raises(ValueError, match="hutchinson backend at n = 16"):
-        hmc_fit(target, cfg, default_init_theta(target), rng)
-    # refused before any work: the stream is untouched
-    assert rng.random() == np.random.default_rng(5).random()
+    cfg = HmcConfig(n_samples=40, n_leapfrog=5, step_size=0.1, burn_in=10)
+    results = []
+    for exact_max_n in (1, 2500):
+        target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
+                               pattern=pattern, mechanism="mar",
+                               exact_max_n=exact_max_n)
+        results.append(hmc_fit(target, cfg, default_init_theta(target),
+                               np.random.default_rng(5)))
+    lu, spectrum = results
+    assert lu.tuning["step_size"] == spectrum.tuning["step_size"]
+    n_iter = cfg.burn_in + cfg.n_samples
+    assert (round(lu.tuning["accept_rate"] * n_iter)
+            == round(spectrum.tuning["accept_rate"] * n_iter))
+    np.testing.assert_allclose(lu.mean_trajectory, spectrum.mean_trajectory,
+                               rtol=0, atol=1e-8)

@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 from spatialvb import build_rook_grid_weights, rho_interval, row_normalize
-from spatialvb.weights import DegenerateUnitError, SpatialWeights
+from spatialvb.weights import (DegenerateUnitError, SpatialWeights,
+                               weight_eigenvalues)
 
 
 def neighbour_counts(w):
@@ -87,6 +88,46 @@ def test_rho_interval_grid5_dense_oracle():
 def test_rho_interval_requires_normalization():
     with pytest.raises(ValueError):
         rho_interval(build_rook_grid_weights(3))
+
+
+def test_rho_interval_bipartite_grid_is_exact_above_dense_cutoff():
+    # 60 x 60 rook grid: bipartite, n = 3,600 > 2,000 units
+    lo, hi = rho_interval(row_normalize(build_rook_grid_weights(60)))
+    assert lo == -1.0
+    assert hi == 1.0
+
+
+def test_rho_interval_non_bipartite_uses_the_spectrum():
+    # a triangle plus a pendant unit: an odd cycle, so lam_min > -1
+    c = np.zeros((4, 4))
+    for i, j, v in ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 1.0)):
+        c[i, j] = c[j, i] = v
+    w = row_normalize(SpatialWeights(matrix=sparse.csr_matrix(c)))
+    lam = np.sort(np.linalg.eigvals(w.matrix.toarray()).real)
+    lo, hi = rho_interval(w)
+    assert lo == pytest.approx(1.0 / lam[0], rel=1e-12)
+    assert lo < -1.0
+
+
+def test_weight_eigenvalues_match_nonsymmetric_solve():
+    # irregular weights: W = D^-1 C with C symmetric, random positive values
+    rng = np.random.default_rng(3)
+    raw = build_rook_grid_weights(6).matrix.tocoo()
+    upper = raw.row < raw.col
+    vals = rng.uniform(0.2, 3.0, size=upper.sum())
+    c = sparse.coo_matrix((vals, (raw.row[upper], raw.col[upper])), shape=raw.shape)
+    w = row_normalize(SpatialWeights(matrix=(c + c.T).tocsr()))
+    dense = np.sort(np.linalg.eigvals(w.matrix.toarray()).real)
+    np.testing.assert_allclose(weight_eigenvalues(w), dense, atol=1e-13)
+
+
+def test_weight_eigenvalues_reject_non_reversible_weights():
+    # row-normalised 3-cycle with asymmetric values: W01 W12 W20 != W02 W21 W10
+    # (Kolmogorov's criterion fails), so no D makes D W symmetric
+    c = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [4.0, 5.0, 0.0]])
+    w = row_normalize(SpatialWeights(matrix=sparse.csr_matrix(c)))
+    with pytest.raises(ValueError, match=r"\(i, j\) = \(1, 2\)"):
+        weight_eigenvalues(w)
 
 
 def test_power_iteration_agrees_with_dense():

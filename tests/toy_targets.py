@@ -27,7 +27,7 @@ class GaussianTarget:
     def _joint(self, theta, y_u):
         return np.concatenate([np.atleast_1d(theta), np.atleast_1d(y_u)])
 
-    def log_h_and_grads(self, theta, y_u, rng=None):
+    def log_h_and_grads(self, theta, y_u):
         dev = self._joint(theta, y_u) - self.mean
         logh = float(self._const - 0.5 * dev @ self.prec @ dev)
         grad = -(self.prec @ dev)
@@ -49,7 +49,7 @@ class ZeroTarget(GaussianTarget):
     def __init__(self, dim, s=None):
         super().__init__(np.zeros(dim), np.eye(dim), s=s)
 
-    def log_h_and_grads(self, theta, y_u, rng=None):
+    def log_h_and_grads(self, theta, y_u):
         return 0.0, np.zeros(self.S), np.zeros(self.n_u)
 
 
@@ -63,8 +63,8 @@ class FailingTarget(GaussianTarget):
         self.error = error
         self.calls = 0
 
-    def log_h_and_grads(self, theta, y_u, rng=None):
+    def log_h_and_grads(self, theta, y_u):
         call, self.calls = self.calls, self.calls + 1
         if call in self.fail_calls:
             raise self.error(f"forced failure on call {call}")
-        return super().log_h_and_grads(theta, y_u, rng)
+        return super().log_h_and_grads(theta, y_u)
