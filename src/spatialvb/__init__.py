@@ -8,12 +8,12 @@ from .missing import (BlockPartition, MissingPattern, SelectionModel,
                       make_blocks, selection_grad_psi, selection_grad_yu,
                       selection_log_prob)
 from .posterior import PriorSpec, TargetDensity
-from .samplers import (ConditionalGaussian, HmcConfig, McmcConfig, gibbs_sweep,
-                       hmc_run, mar_conditional, mcmc_block, mcmc_nob,
-                       sample_conditional, tune_step_size)
-from .sem import (PartitionedView, PrecisionOps, SemParams,
-                  UnconstrainedSemParams, from_unconstrained, partition,
-                  precision_matrix, sem_log_likelihood, to_unconstrained)
+from .samplers import (ConditionalGaussian, GmrfPlan, HmcConfig, McmcConfig,
+                       gibbs_sweep, hmc_run, mar_conditional, mcmc_block,
+                       mcmc_nob, sample_conditional, tune_step_size)
+from .sem import (PrecisionOps, SemParams, UnconstrainedSemParams,
+                  from_unconstrained, precision_matrix, sem_log_likelihood,
+                  to_unconstrained)
 from .simulate import (MarMechanism, MnarMechanism, SimConfig,
                        simulate_dataset, simulate_sem)
 from .vb import (AdadeltaState, FitResult, VParams, adadelta_step,

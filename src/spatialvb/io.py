@@ -86,7 +86,7 @@ def read_weights(path, row_normalized: bool | None = None) -> SpatialWeights:
     if row_normalized is None:
         sums = np.asarray(m.sum(axis=1)).ravel()
         occupied = np.diff(m.indptr) > 0
-        row_normalized = bool(np.allclose(sums[occupied], 1.0, atol=1e-12))
+        row_normalized = bool(np.allclose(sums[occupied], 1.0, rtol=0.0, atol=1e-12))
     return SpatialWeights(matrix=m, row_normalized=row_normalized)
 
 

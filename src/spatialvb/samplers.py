@@ -2,8 +2,9 @@
 Gibbs sweeps, the MNAR independence/block Metropolis schemes, and a fixed
 step-size leapfrog HMC over (theta, y_u).
 
-Every conditional draw of y_u or of one of its blocks goes through one
-banded GMRF factor (:class:`GmrfFactor`) of the relevant block of M_y."""
+Every conditional draw of y_u or of one of its blocks takes the fit's
+:class:`GmrfPlan` and goes through one banded GMRF factor
+(:class:`GmrfFactor`) of the relevant block of M_y."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .missing import BlockPartition, MissingPattern, SelectionModel
-from .sem import PartitionedView, PrecisionPattern, SemParams
+from .sem import PrecisionPattern, SemParams
 from .weights import SpatialWeights
 
 
@@ -119,34 +120,27 @@ class GmrfFactor:
 
 
 class GmrfPlan:
-    """The fixed-pattern M_y and the symbolic factors for the draws of y_u in
-    one fit, each factor built on first use and then kept: the unobserved
-    set once, and each block of ``partition`` once."""
+    """The fixed-pattern M_y of one fit, its missing pattern and the symbolic
+    factors of every conditional draw of y_u: the unobserved set, built once,
+    and the blocks of the partition last asked for, built once per partition.
+    Every sampler below takes the plan, so all of them share its factors."""
 
-    def __init__(self, precision: PrecisionPattern, pattern: MissingPattern,
-                 partition: BlockPartition | None = None):
-        self.precision = precision
+    def __init__(self, weights: SpatialWeights, pattern: MissingPattern):
+        self.precision = PrecisionPattern(weights)
         self.pattern = pattern
-        self.partition = partition
+        self._blocks: tuple[BlockPartition | None, list[GmrfFactor]] = (None, [])
 
     @cached_property
     def unobserved(self) -> GmrfFactor:
         return GmrfFactor(self.precision.pattern, self.pattern.unobserved_idx)
 
-    @cached_property
-    def blocks(self) -> list[GmrfFactor]:
-        return [GmrfFactor(self.precision.pattern, b) for b in self.partition.blocks]
-
-
-def _plan_for(weights: SpatialWeights, pattern: MissingPattern,
-              partition: BlockPartition | None, plan: GmrfPlan | None) -> GmrfPlan:
-    """``plan``, checked against the sets it will be used for, or a new one."""
-    if plan is None:
-        return GmrfPlan(PrecisionPattern(weights), pattern, partition)
-    if plan.pattern is not pattern or (partition is not None
-                                       and plan.partition is not partition):
-        raise ValueError("plan was built for another missing pattern or partition")
-    return plan
+    def blocks(self, partition: BlockPartition) -> list[GmrfFactor]:
+        """The factors of the blocks of ``partition``, kept until another
+        partition is asked for."""
+        if self._blocks[0] is not partition:
+            self._blocks = (partition, [GmrfFactor(self.precision.pattern, b)
+                                        for b in partition.blocks])
+        return self._blocks[1]
 
 
 @dataclass(frozen=True)
@@ -161,25 +155,48 @@ class ConditionalGaussian:
     factor: GmrfFactor
 
 
-def mar_conditional(phi: SemParams, y_first: np.ndarray, view: PartitionedView,
-                    factor: GmrfFactor | None = None) -> ConditionalGaussian:
-    """Conditional of the second-group responses given the first group.
+class _Conditionals:
+    """Banded factors of the blocks M_SS of M_y at one rho, for the
+    conditional of y_S given the other units, S = ``factors[j].idx``.
 
-    mean = X_u beta - M_uu^{-1} M_uo (y_o - X_o beta), cov = sigma2 M_uu^{-1},
-    where o/u stand for the view's first/second groups. ``factor`` is the
-    symbolic factor of the second group on the pattern of the view's M_y;
-    without one it is built here.
+    Uses mean_S = y_S - M_SS^{-1} (M[S, :] r) with r = y - X beta, which
+    equals the textbook partitioned form X_S beta - M_SS^{-1} M_S,rest r_rest
+    and only needs the rows of the block per visit.
     """
-    m_y = view.m_y
-    if factor is None:
-        factor = GmrfFactor(m_y, view.second)
-    band = factor.cholesky(m_y.data, phi.rho)
-    resid = np.zeros(view.n)
-    resid[view.first] = np.asarray(y_first, dtype=float) - view.x_rows("first") @ phi.beta
-    mean = (view.x_rows("second") @ phi.beta
-            - factor.solve(band, factor.rows_dot(m_y.data, resid)))
-    return ConditionalGaussian(mean=mean, chol_lower=band, sigma2=phi.sigma2_y,
-                               factor=factor)
+
+    def __init__(self, phi: SemParams, x: np.ndarray, plan: GmrfPlan,
+                 factors: list[GmrfFactor]):
+        self.phi = phi
+        self.xb = x @ phi.beta
+        self.m_data = plan.precision.data(phi.rho)
+        self.factors = factors
+        self.bands = [f.cholesky(self.m_data, phi.rho) for f in factors]
+
+    def mean(self, j: int, resid: np.ndarray) -> np.ndarray:
+        f, band = self.factors[j], self.bands[j]
+        return (resid[f.idx] + self.xb[f.idx]
+                - f.solve(band, f.rows_dot(self.m_data, resid)))
+
+    def draw(self, j: int, resid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        f, band = self.factors[j], self.bands[j]
+        z = rng.standard_normal(f.idx.size)
+        return self.mean(j, resid) + np.sqrt(self.phi.sigma2_y) * f.correlate(band, z)
+
+
+def mar_conditional(phi: SemParams, y_o: np.ndarray, x: np.ndarray,
+                    plan: GmrfPlan) -> ConditionalGaussian:
+    """Conditional of the unobserved responses given the observed ones.
+
+    mean = X_u beta - M_uu^{-1} M_uo (y_o - X_o beta), cov = sigma2 M_uu^{-1}.
+    The mean is that of the Gibbs and Metropolis blocks,
+    y_S - M_SS^{-1} (M[S, :] r), for S = u and y_u = X_u beta, so r_u = 0.
+    """
+    work = _Conditionals(phi, x, plan, [plan.unobserved])
+    resid = np.zeros(work.xb.shape)
+    obs = plan.pattern.observed_idx
+    resid[obs] = np.asarray(y_o, dtype=float) - work.xb[obs]
+    return ConditionalGaussian(mean=work.mean(0, resid), chol_lower=work.bands[0],
+                               sigma2=phi.sigma2_y, factor=plan.unobserved)
 
 
 def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.ndarray:
@@ -188,59 +205,21 @@ def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.
     return cg.mean + np.sqrt(cg.sigma2) * cg.factor.correlate(cg.chol_lower, z)
 
 
-class _BlockConditionals:
-    """Banded factors of the blocks M_{u_j u_j} at one rho, for draws of each
-    block from its conditional given the current other units.
-
-    Uses mean_j = y_{u_j} - M_{u_j u_j}^{-1} (M[u_j, :] r) with r = y - X beta,
-    which equals the textbook partitioned form and only needs the rows of
-    the block per visit.
-    """
-
-    def __init__(self, phi: SemParams, x: np.ndarray, m_data: np.ndarray,
-                 factors: list[GmrfFactor]):
-        self.phi = phi
-        self.xb = x @ phi.beta
-        self.m_data = m_data
-        self.factors = factors
-        self.bands = [f.cholesky(m_data, phi.rho) for f in factors]
-
-    def draw(self, j: int, resid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        f, band = self.factors[j], self.bands[j]
-        z = rng.standard_normal(f.idx.size)
-        mean = (resid[f.idx] + self.xb[f.idx]
-                - f.solve(band, f.rows_dot(self.m_data, resid)))
-        return mean + np.sqrt(self.phi.sigma2_y) * f.correlate(band, z)
-
-
-def _full_conditional(phi: SemParams, y_o: np.ndarray, pattern: MissingPattern,
-                      x: np.ndarray, plan: GmrfPlan,
-                      m_y: sparse.csr_matrix) -> ConditionalGaussian:
-    view = PartitionedView(pattern.observed_idx, pattern.unobserved_idx,
-                           pattern.n, x=x, m_y=m_y)
-    return mar_conditional(phi, y_o, view, plan.unobserved)
-
-
-def gibbs_sweep(phi: SemParams, y_o: np.ndarray, pattern: MissingPattern,
-                partition: BlockPartition, x: np.ndarray, weights: SpatialWeights,
-                n1: int, rng: np.random.Generator, y_u_init: np.ndarray,
-                plan: GmrfPlan | None = None) -> np.ndarray:
+def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
+                x: np.ndarray, plan: GmrfPlan, n1: int, rng: np.random.Generator,
+                y_u_init: np.ndarray) -> np.ndarray:
     """N1 full Gibbs sweeps over the blocks of the MAR conditional, each block
-    drawn from its exact conditional given the freshest other blocks.
-
-    ``plan`` carries the symbolic block factors across calls; without one
-    they are built here."""
+    drawn from its exact conditional given the freshest other blocks."""
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
-    plan = _plan_for(weights, pattern, partition, plan)
-    work = _BlockConditionals(phi, x, plan.precision.data(phi.rho), plan.blocks)
-    y = pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
+    work = _Conditionals(phi, x, plan, plan.blocks(partition))
+    y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
     resid = y - work.xb
     for _ in range(n1):
         for j, f in enumerate(work.factors):
             y[f.idx] = work.draw(j, resid, rng)
             resid[f.idx] = y[f.idx] - work.xb[f.idx]
-    return y[pattern.unobserved_idx]
+    return y[plan.pattern.unobserved_idx]
 
 
 def _missing_sel_terms(y_vals: np.ndarray, idx: np.ndarray,
@@ -252,17 +231,14 @@ def _missing_sel_terms(y_vals: np.ndarray, idx: np.ndarray,
 
 
 def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
-             pattern: MissingPattern, x: np.ndarray, weights: SpatialWeights,
-             n1: int, rng: np.random.Generator,
-             y_u_init: np.ndarray | None = None,
-             plan: GmrfPlan | None = None) -> tuple[np.ndarray, float]:
+             x: np.ndarray, plan: GmrfPlan, n1: int, rng: np.random.Generator,
+             y_u_init: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Independence Metropolis over the whole missing vector: proposals from
     the MAR conditional, acceptance from the missingness-likelihood ratio."""
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
-    plan = _plan_for(weights, pattern, None, plan)
-    cg = _full_conditional(phi, y_o, pattern, x, plan, plan.precision.matrix(phi.rho))
-    u_idx = pattern.unobserved_idx
+    cg = mar_conditional(phi, y_o, x, plan)
+    u_idx = plan.pattern.unobserved_idx
     if y_u_init is None:
         y_u = sample_conditional(cg, rng)
     else:
@@ -279,11 +255,10 @@ def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
 
 
 def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
-               pattern: MissingPattern, partition: BlockPartition,
-               x: np.ndarray, weights: SpatialWeights, scheme: str,
-               n1: int, rng: np.random.Generator,
-               y_u_init: np.ndarray | None = None, k_prime: int = 3,
-               plan: GmrfPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
+               partition: BlockPartition, x: np.ndarray, plan: GmrfPlan,
+               scheme: str, n1: int, rng: np.random.Generator,
+               y_u_init: np.ndarray | None = None,
+               k_prime: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Blockwise Metropolis: per inner iteration visit all k blocks ("allb")
     or a fresh uniform sample of k_prime blocks ("randomb"), proposing each
     block from its MAR conditional given the freshest other blocks.
@@ -298,12 +273,10 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
     k = partition.k
     if scheme == "randomb" and not (1 <= k_prime <= k):
         raise ValueError(f"k_prime={k_prime} out of range [1, {k}]")
-    plan = _plan_for(weights, pattern, partition, plan)
-    m_y = plan.precision.matrix(phi.rho)
-    work = _BlockConditionals(phi, x, m_y.data, plan.blocks)
+    work = _Conditionals(phi, x, plan, plan.blocks(partition))
     if y_u_init is None:
-        y_u_init = sample_conditional(_full_conditional(phi, y_o, pattern, x, plan, m_y), rng)
-    y = pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
+        y_u_init = sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
+    y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
     resid = y - work.xb
     proposed = np.zeros(k, dtype=np.int64)
     accepted = np.zeros(k, dtype=np.int64)
@@ -324,7 +297,7 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
                 accepted[j] += 1
     with np.errstate(invalid="ignore"):
         rates = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)
-    return y[pattern.unobserved_idx], rates
+    return y[plan.pattern.unobserved_idx], rates
 
 
 @dataclass

@@ -83,11 +83,13 @@ class PrecisionPattern:
     zeros, so its pattern shrinks to the diagonal at rho = 0.) Positions
     into ``pattern`` found once therefore hold at every rho.
 
-    Pass a precomputed admissible ``interval`` to skip :func:`rho_interval`.
+    rho must lie in (-1, 1): the spectrum of a row-normalised W lies in
+    [-1, 1], so I - rho W is nonsingular and M_y positive definite there.
     """
 
-    def __init__(self, w: SpatialWeights,
-                 interval: tuple[float, float] | None = None):
+    def __init__(self, w: SpatialWeights):
+        if not w.row_normalized:
+            raise ValueError("M_y needs row-normalized weights")
         n = w.n
         wm = w.matrix.tocoo()
         wtw = (w.matrix.T @ w.matrix).tocoo()
@@ -103,13 +105,11 @@ class PrecisionPattern:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
         self.pattern = sparse.csr_matrix((np.ones(keys.size), keys % n, indptr),
                                          shape=(n, n))
-        self.interval = rho_interval(w) if interval is None else interval
 
     def data(self, rho: float) -> np.ndarray:
         """Values of M_y(rho) on ``pattern``, in its storage order."""
-        lo, hi = self.interval
-        if not (lo < rho < hi):
-            raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
+        if not (-1.0 < rho < 1.0):
+            raise ValueError(f"rho={rho} outside admissible interval (-1, 1)")
         return np.array([1.0, -rho, rho * rho]) @ self._terms
 
     def matrix(self, rho: float) -> sparse.csr_matrix:
@@ -117,14 +117,10 @@ class PrecisionPattern:
         return sparse.csr_matrix((self.data(rho), p.indices, p.indptr), shape=p.shape)
 
 
-def precision_matrix(rho: float, w: SpatialWeights,
-                     interval: tuple[float, float] | None = None) -> sparse.csr_matrix:
+def precision_matrix(rho: float, w: SpatialWeights) -> sparse.csr_matrix:
     """M_y = (I - rho W)^T (I - rho W), sparse symmetric positive definite,
-    on the fixed pattern of :class:`PrecisionPattern`.
-
-    Pass a precomputed admissible ``interval`` to skip :func:`rho_interval`.
-    """
-    return PrecisionPattern(w, interval).matrix(rho)
+    on the fixed pattern of :class:`PrecisionPattern`."""
+    return PrecisionPattern(w).matrix(rho)
 
 
 def spatial_filter(rho: float | complex, w: SpatialWeights) -> sparse.csr_matrix:
@@ -222,56 +218,3 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
             + 0.5 * logdet
             - 0.5 * quad / params.sigma2_y)
 
-
-class PartitionedView:
-    """Two-group partition of a design matrix and of M_y.
-
-    The first group plays the role of the conditioning set (observed units,
-    or s_j = observed plus the out-of-block unobserved); the second group is
-    the block being conditioned on.
-    """
-
-    def __init__(self, first: np.ndarray, second: np.ndarray, n: int,
-                 x: np.ndarray | None = None,
-                 m_y: sparse.spmatrix | None = None):
-        first = np.asarray(first, dtype=np.intp)
-        second = np.asarray(second, dtype=np.intp)
-        combined = np.concatenate([first, second])
-        if combined.size != n or np.unique(combined).size != n:
-            raise ValueError("index groups must be disjoint and cover all units")
-        self.first = first
-        self.second = second
-        self.n = n
-        self._x = x
-        self._m = m_y.tocsr() if m_y is not None else None
-
-    def _group(self, name: str) -> np.ndarray:
-        if name == "first":
-            return self.first
-        if name == "second":
-            return self.second
-        raise ValueError(f"unknown group {name!r}")
-
-    @property
-    def permutation(self) -> np.ndarray:
-        return np.concatenate([self.first, self.second])
-
-    def x_rows(self, group: str) -> np.ndarray:
-        if self._x is None:
-            raise ValueError("view was built without a design matrix")
-        return self._x[self._group(group)]
-
-    @property
-    def m_y(self) -> sparse.csr_matrix:
-        if self._m is None:
-            raise ValueError("view was built without M_y")
-        return self._m
-
-    def m_block(self, row_group: str, col_group: str) -> sparse.csr_matrix:
-        return self.m_y[self._group(row_group)][:, self._group(col_group)].tocsr()
-
-
-def partition(first, second, n: int, x: np.ndarray | None = None,
-              m_y: sparse.spmatrix | None = None) -> PartitionedView:
-    """Build a PartitionedView; groups must be disjoint and exhaustive."""
-    return PartitionedView(first, second, n, x=x, m_y=m_y)

@@ -16,9 +16,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .samplers import (GmrfPlan, HmcConfig, McmcConfig, gibbs_sweep, hmc_run,
-                       mcmc_block, mcmc_nob, sample_conditional, tune_step_size,
-                       _full_conditional)
-from .sem import PrecisionPattern
+                       mar_conditional, mcmc_block, mcmc_nob, sample_conditional,
+                       tune_step_size)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -243,22 +242,14 @@ def default_init_theta(target) -> np.ndarray:
     return theta
 
 
-def _gmrf_plan(target, partition=None) -> GmrfPlan:
-    """The symbolic factors for the y_u draws of one fit on ``target``."""
-    return GmrfPlan(PrecisionPattern(target.weights, target.rho_bounds),
-                    target.pattern, partition)
-
-
 def draw_initial_yu(target, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from p(y_u | phi(theta), y_o): the starting value used for
     the missing block by every fit."""
     if target.n_u == 0:
         return np.empty(0)
     phi, _ = target.model_params(theta)
-    plan = _gmrf_plan(target)
-    cg = _full_conditional(phi, target.y_obs, target.pattern, target.x, plan,
-                           plan.precision.matrix(phi.rho))
-    return sample_conditional(cg, rng)
+    plan = GmrfPlan(target.weights, target.pattern)
+    return sample_conditional(mar_conditional(phi, target.y_obs, target.x, plan), rng)
 
 
 def _theta_summaries(target, vp: VParams, s: int, rng, n_draws: int):
@@ -380,28 +371,21 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
 def _sample_yu(target, theta, cfg: McmcConfig, rng, y_u_prev, plan: GmrfPlan):
     """Step 5 of the outer loop: one y_u draw for the current theta."""
     phi, sel = target.model_params(theta)
-    pattern = target.pattern
+    y_o, x = target.y_obs, target.x
 
     def direct_draw():
-        cg = _full_conditional(phi, target.y_obs, pattern, target.x, plan,
-                               plan.precision.matrix(phi.rho))
-        return sample_conditional(cg, rng)
+        return sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
 
     if cfg.scheme == "direct":
         return direct_draw(), np.nan
     if cfg.scheme == "gibbs":
         y0 = y_u_prev if (cfg.warm_start and y_u_prev is not None) else direct_draw()
-        out = gibbs_sweep(phi, target.y_obs, pattern, cfg.partition, target.x,
-                          target.weights, cfg.n1, rng, y0, plan=plan)
-        return out, np.nan
+        return gibbs_sweep(phi, y_o, cfg.partition, x, plan, cfg.n1, rng, y0), np.nan
     init = y_u_prev if (cfg.warm_start and y_u_prev is not None) else None
     if cfg.scheme == "nob":
-        y_u, acc = mcmc_nob(phi, sel, target.y_obs, pattern, target.x,
-                            target.weights, cfg.n1, rng, y_u_init=init, plan=plan)
-        return y_u, acc
-    y_u, rates = mcmc_block(phi, sel, target.y_obs, pattern, cfg.partition,
-                            target.x, target.weights, cfg.scheme, cfg.n1, rng,
-                            y_u_init=init, k_prime=cfg.k_prime, plan=plan)
+        return mcmc_nob(phi, sel, y_o, x, plan, cfg.n1, rng, y_u_init=init)
+    y_u, rates = mcmc_block(phi, sel, y_o, cfg.partition, x, plan, cfg.scheme,
+                            cfg.n1, rng, y_u_init=init, k_prime=cfg.k_prime)
     return y_u, float(np.nanmean(rates))
 
 
@@ -433,7 +417,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     yu_sumsq = np.zeros(n_u)
     acc_history = []
     y_u_prev = None
-    plan = _gmrf_plan(target, sampler_cfg.partition) if n_u > 0 else None
+    plan = GmrfPlan(target.weights, target.pattern) if n_u > 0 else None
 
     def estimate(v):
         nonlocal y_u_prev

@@ -38,7 +38,7 @@ class SpatialWeights:
         if self.row_normalized:
             sums = np.asarray(m.sum(axis=1)).ravel()
             occupied = np.diff(m.indptr) > 0
-            if not np.allclose(sums[occupied], 1.0, atol=1e-12):
+            if not np.allclose(sums[occupied], 1.0, rtol=0.0, atol=1e-12):
                 raise ValueError("row_normalized set but rows do not sum to 1")
 
     @property

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spatialvb import (HmcConfig, MarMechanism, McmcConfig, MissingPattern,
-                       MnarMechanism, SimConfig, TargetDensity,
+from spatialvb import (GmrfPlan, HmcConfig, MarMechanism, McmcConfig,
+                       MissingPattern, MnarMechanism, SimConfig, TargetDensity,
                        build_rook_grid_weights, default_block_size,
                        make_blocks, mar_conditional,
                        row_normalize, sem_log_likelihood,
@@ -25,8 +25,7 @@ from spatialvb.vb import (VParams, default_init_theta, draw_initial_yu,
 
 from conftest import random_instance, random_selection
 from test_samplers import (chain_se, importance_oracle, mnar_instance,
-                           run_chain, schur_conditional, cg_covariance,
-                           build_view)
+                           run_chain, schur_conditional, cg_covariance)
 from toy_targets import GaussianTarget
 
 
@@ -201,8 +200,7 @@ def test_criterion_2_conditional_schur_oracle():
             m[rng.choice(w.n, size=n_u, replace=False)] = 1
             pattern = MissingPattern(m=m)
             y_o = y[pattern.observed_idx]
-            view = build_view(w, pattern, x, params.rho)
-            cg = mar_conditional(params, y_o, view)
+            cg = mar_conditional(params, y_o, x, GmrfPlan(w, pattern))
             mean_o, cov_o = schur_conditional(params, w, x, pattern, y_o)
             worst = max(worst,
                         float(np.abs(cg.mean - mean_o).max()),
@@ -266,8 +264,9 @@ def test_criterion_5_sampler_stationarity():
     m[[1, 4, 7, 10, 12, 15]] = 1
     pattern = MissingPattern(m=m)
     y_o = y[pattern.observed_idx]
+    plan = GmrfPlan(w, pattern)
     mean_o, se_mo, second_o, se_so = importance_oracle(
-        params, sel, y_o, pattern, x, w, 200_000, seed=4)
+        params, sel, y_o, x, plan, 200_000, seed=4)
 
     failures = []
 
@@ -281,35 +280,34 @@ def test_criterion_5_sampler_stationarity():
 
     rng = np.random.default_rng(2)
     check("nob", run_chain(
-        lambda s: mcmc_nob(params, sel, y_o, pattern, x, w, 1, rng, y_u_init=s),
+        lambda s: mcmc_nob(params, sel, y_o, x, plan, 1, rng, y_u_init=s),
         30_000, pattern.n_u))
 
     part = make_blocks(pattern, 3, seed=3)
     rng = np.random.default_rng(6)
     check("allb", run_chain(
-        lambda s: mcmc_block(params, sel, y_o, pattern, part, x, w, "allb", 1,
+        lambda s: mcmc_block(params, sel, y_o, part, x, plan, "allb", 1,
                              rng, y_u_init=s), 30_000, pattern.n_u))
 
     part2 = make_blocks(pattern, 2, seed=5)
     rng = np.random.default_rng(8)
     check("randomb", run_chain(
-        lambda s: mcmc_block(params, sel, y_o, pattern, part2, x, w, "randomb",
+        lambda s: mcmc_block(params, sel, y_o, part2, x, plan, "randomb",
                              1, rng, y_u_init=s, k_prime=2), 40_000,
         pattern.n_u))
 
     # Gibbs vs direct conditional sampling (MAR)
-    view = build_view(w, pattern, x, params.rho)
-    cg = mar_conditional(params, y_o, view)
+    cg = mar_conditional(params, y_o, x, plan)
     gpart = make_blocks(pattern, 3, seed=1)
     rng = np.random.default_rng(7)
     state = np.zeros(pattern.n_u)
     for _ in range(200):
-        state = gibbs_sweep(params, y_o, pattern, gpart, x, w, 1, rng,
+        state = gibbs_sweep(params, y_o, gpart, x, plan, 1, rng,
                             y_u_init=state)
     n_keep = 30_000
     states = np.empty((n_keep, pattern.n_u))
     for i in range(n_keep):
-        state = gibbs_sweep(params, y_o, pattern, gpart, x, w, 1, rng,
+        state = gibbs_sweep(params, y_o, gpart, x, plan, 1, rng,
                             y_u_init=state)
         states[i] = state
     direct_mean = cg.mean

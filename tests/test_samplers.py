@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
 
-from spatialvb import (HmcConfig, MissingPattern, SemParams,
+from spatialvb import (GmrfPlan, HmcConfig, MissingPattern, SemParams,
                        build_rook_grid_weights, gibbs_sweep, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
-                       partition, precision_matrix, row_normalize,
-                       sample_conditional)
-from spatialvb.samplers import GmrfFactor, GmrfPlan, leapfrog
+                       precision_matrix, row_normalize, sample_conditional)
+from spatialvb.samplers import GmrfFactor, leapfrog
 from spatialvb.sem import PrecisionPattern
 
 from conftest import dense_sem_cov, random_instance, random_selection
-
-
-def build_view(w, pattern, x, rho):
-    m = precision_matrix(rho, w)
-    return partition(pattern.observed_idx, pattern.unobserved_idx, w.n,
-                     x=x, m_y=m)
 
 
 def schur_conditional(params, w, x, pattern, y_o):
@@ -80,38 +73,62 @@ def test_gmrf_factor_reproduces_dense_block():
 
 
 def test_factor_failure_is_loud_and_names_rho(grid4):
-    x, params, y, pattern, _ = random_instance(grid4, 40)
-    negated = -precision_matrix(params.rho, grid4)
-    view = partition(pattern.observed_idx, pattern.unobserved_idx, grid4.n,
-                     x=x, m_y=negated)
+    _, params, _, pattern, _ = random_instance(grid4, 40)
+    plan = GmrfPlan(grid4, pattern)
+    negated = -plan.precision.data(params.rho)
     with pytest.raises(np.linalg.LinAlgError, match=f"rho={params.rho}"):
-        mar_conditional(params, y[pattern.observed_idx], view)
-    factor = GmrfFactor(negated, pattern.unobserved_idx)
+        plan.unobserved.cholesky(negated, params.rho)
     with pytest.raises(ValueError, match="pattern holds"):
-        factor.cholesky(np.ones(3), params.rho)
+        plan.unobserved.cholesky(np.ones(3), params.rho)
+
+
+def _draw_direct(phi, sel, y_o, part, x, plan, rng):
+    return sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
+
+
+def _draw_nob(phi, sel, y_o, part, x, plan, rng):
+    return mcmc_nob(phi, sel, y_o, x, plan, 5, rng)[0]
+
+
+def _draw_gibbs(phi, sel, y_o, part, x, plan, rng):
+    return gibbs_sweep(phi, y_o, part, x, plan, 5, rng, np.zeros(plan.pattern.n_u))
+
+
+def _draw_block(phi, sel, y_o, part, x, plan, rng):
+    return mcmc_block(phi, sel, y_o, part, x, plan, "allb", 5, rng)[0]
 
 
 def test_plan_reused_across_rho_matches_fresh_factors():
     w, x, params, y, pattern, sel = mnar_instance(26)
     y_o = y[pattern.observed_idx]
     part = make_blocks(pattern, 2, seed=0)
-    plan = GmrfPlan(PrecisionPattern(w), pattern, part)
-    for rho in (0.0, 0.6, -0.3):
-        phi = SemParams(beta=params.beta, sigma2_y=params.sigma2_y, rho=rho)
-        reused = mcmc_block(phi, sel, y_o, pattern, part, x, w, "allb", 5,
-                            np.random.default_rng(1), plan=plan)
-        fresh = mcmc_block(phi, sel, y_o, pattern, part, x, w, "allb", 5,
-                           np.random.default_rng(1))
-        np.testing.assert_array_equal(reused[0], fresh[0])
-    with pytest.raises(ValueError, match="another"):
-        mcmc_block(params, sel, y_o, pattern, make_blocks(pattern, 2, seed=1),
-                   x, w, "allb", 1, np.random.default_rng(1), plan=plan)
+    samplers = {"mar_conditional": _draw_direct, "mcmc_nob": _draw_nob,
+                "gibbs_sweep": _draw_gibbs, "mcmc_block": _draw_block}
+    for name, draw in samplers.items():
+        plan = GmrfPlan(w, pattern)
+        for rho in (0.0, 0.6, -0.3):
+            phi = SemParams(beta=params.beta, sigma2_y=params.sigma2_y, rho=rho)
+            reused = draw(phi, sel, y_o, part, x, plan, np.random.default_rng(1))
+            fresh = draw(phi, sel, y_o, part, x, GmrfPlan(w, pattern),
+                         np.random.default_rng(1))
+            np.testing.assert_array_equal(reused, fresh, err_msg=f"{name} rho={rho}")
+
+
+def test_plan_keeps_the_block_factors_of_the_last_partition():
+    w, _, _, _, pattern, _ = mnar_instance(27)
+    plan = GmrfPlan(w, pattern)
+    first, second = make_blocks(pattern, 2, seed=0), make_blocks(pattern, 2, seed=1)
+    factors = plan.blocks(first)
+    assert plan.blocks(first) is factors
+    others = plan.blocks(second)
+    assert [f.idx.tolist() for f in others] == [b.tolist() for b in second.blocks]
+    assert plan.blocks(first) is not factors
 
 
 def test_conditional_rho_zero_no_information_flow(grid3):
     x, params, y, pattern, _ = random_instance(grid3, 0, rho=0.0)
-    view = build_view(grid3, pattern, x, 0.0)
-    cg = mar_conditional(params, y[pattern.observed_idx], view)
+    plan = GmrfPlan(grid3, pattern)
+    cg = mar_conditional(params, y[pattern.observed_idx], x, plan)
     np.testing.assert_allclose(cg.mean, (x @ params.beta)[pattern.unobserved_idx],
                                atol=1e-12)
     np.testing.assert_allclose(cg_covariance(cg),
@@ -124,8 +141,8 @@ def test_conditional_matches_schur_oracle():
     x, params, y, pattern, _ = random_instance(w, 1, missing=8 / 25)
     assert pattern.n_u == 8
     y_o = y[pattern.observed_idx]
-    view = build_view(w, pattern, x, params.rho)
-    cg = mar_conditional(params, y_o, view)
+    plan = GmrfPlan(w, pattern)
+    cg = mar_conditional(params, y_o, x, plan)
     mean_oracle, cov_oracle = schur_conditional(params, w, x, pattern, y_o)
     np.testing.assert_allclose(cg.mean, mean_oracle, atol=1e-9)
     np.testing.assert_allclose(cg_covariance(cg), cov_oracle, atol=1e-9)
@@ -136,8 +153,8 @@ def test_conditional_single_missing_unit(grid3):
     m = np.zeros(9, dtype=np.int8)
     m[4] = 1
     pattern = MissingPattern(m=m)
-    view = build_view(grid3, pattern, x, params.rho)
-    cg = mar_conditional(params, y[pattern.observed_idx], view)
+    plan = GmrfPlan(grid3, pattern)
+    cg = mar_conditional(params, y[pattern.observed_idx], x, plan)
     m_y = precision_matrix(params.rho, grid3).toarray()
     assert cg_covariance(cg)[0, 0] == pytest.approx(
         params.sigma2_y / m_y[4, 4], rel=1e-12)
@@ -148,8 +165,8 @@ def test_sample_conditional_moments(grid4):
     m = np.zeros(16, dtype=np.int8)
     m[[1, 5, 9, 12, 15]] = 1
     pattern = MissingPattern(m=m)
-    view = build_view(grid4, pattern, x, params.rho)
-    cg = mar_conditional(params, y[pattern.observed_idx], view)
+    plan = GmrfPlan(grid4, pattern)
+    cg = mar_conditional(params, y[pattern.observed_idx], x, plan)
     rng = np.random.default_rng(0)
     draws = np.array([sample_conditional(cg, rng) for _ in range(50_000)])
     cov_true = cg_covariance(cg)
@@ -170,10 +187,10 @@ def test_gibbs_single_block_equals_direct_draw(grid4):
     # normals against the same Cholesky factor as a direct draw
     part = BlockPartition(blocks=(pattern.unobserved_idx,),
                           block_size=pattern.n_u)
-    view = build_view(grid4, pattern, x, params.rho)
-    cg = mar_conditional(params, y_o, view)
+    plan = GmrfPlan(grid4, pattern)
+    cg = mar_conditional(params, y_o, x, plan)
     direct = sample_conditional(cg, np.random.default_rng(99))
-    swept = gibbs_sweep(params, y_o, pattern, part, x, grid4, 1,
+    swept = gibbs_sweep(params, y_o, part, x, plan, 1,
                         np.random.default_rng(99), y_u_init=np.zeros(pattern.n_u))
     np.testing.assert_allclose(swept, direct, atol=1e-9)
 
@@ -187,14 +204,14 @@ def test_gibbs_leaves_conditional_invariant(grid4):
     y_o = y[pattern.observed_idx]
     part = make_blocks(pattern, 3, seed=1)
     assert part.k == 2
-    view = build_view(grid4, pattern, x, params.rho)
-    cg = mar_conditional(params, y_o, view)
+    plan = GmrfPlan(grid4, pattern)
+    cg = mar_conditional(params, y_o, x, plan)
     rng = np.random.default_rng(7)
     n_rep = 8_000
     states = np.empty((n_rep, pattern.n_u))
     for i in range(n_rep):
         start = sample_conditional(cg, rng)
-        states[i] = gibbs_sweep(params, y_o, pattern, part, x, grid4, 2, rng,
+        states[i] = gibbs_sweep(params, y_o, part, x, plan, 2, rng,
                                 y_u_init=start)
     cov_true = cg_covariance(cg)
     se_mean = np.sqrt(np.diag(cov_true) / n_rep)
@@ -212,17 +229,17 @@ def test_gibbs_chain_converges_to_direct_sampler(grid4):
     pattern = MissingPattern(m=m)
     y_o = y[pattern.observed_idx]
     part = make_blocks(pattern, 3, seed=2)
-    view = build_view(grid4, pattern, x, params.rho)
-    cg = mar_conditional(params, y_o, view)
+    plan = GmrfPlan(grid4, pattern)
+    cg = mar_conditional(params, y_o, x, plan)
     rng = np.random.default_rng(8)
     state = np.zeros(pattern.n_u)
     for _ in range(200):
-        state = gibbs_sweep(params, y_o, pattern, part, x, grid4, 1, rng,
+        state = gibbs_sweep(params, y_o, part, x, plan, 1, rng,
                             y_u_init=state)
     n_keep = 20_000
     states = np.empty((n_keep, pattern.n_u))
     for i in range(n_keep):
-        state = gibbs_sweep(params, y_o, pattern, part, x, grid4, 1, rng,
+        state = gibbs_sweep(params, y_o, part, x, plan, 1, rng,
                             y_u_init=state)
         states[i] = state
     # batch-means SE accounts for sweep-to-sweep autocorrelation
@@ -235,11 +252,11 @@ def test_gibbs_chain_converges_to_direct_sampler(grid4):
 # -- MNAR Metropolis schemes --------------------------------------------------
 
 
-def importance_oracle(params, sel, y_o, pattern, x, w, n_draws, seed):
+def importance_oracle(params, sel, y_o, x, plan, n_draws, seed):
     """Stationary-moment oracle: MAR-conditional draws weighted by the
     missingness likelihood over the missing units."""
-    view = build_view(w, pattern, x, params.rho)
-    cg = mar_conditional(params, y_o, view)
+    pattern = plan.pattern
+    cg = mar_conditional(params, y_o, x, plan)
     rng = np.random.default_rng(seed)
     draws = np.array([sample_conditional(cg, rng) for _ in range(n_draws)])
     t = (sel.x_star[pattern.unobserved_idx] @ sel.psi_x
@@ -289,20 +306,21 @@ def chain_se(states, n_batch=100):
 def test_mcmc_nob_accepts_everything_when_psi_y_zero(grid4):
     x, params, y, pattern, _ = random_instance(grid4, 10, missing=0.3)
     sel = random_selection(16, 3, psi_y=0.0)
-    y_u, acc = mcmc_nob(params, sel, y[pattern.observed_idx], pattern, x,
-                        grid4, 50, np.random.default_rng(0))
+    y_u, acc = mcmc_nob(params, sel, y[pattern.observed_idx], x,
+                        GmrfPlan(grid4, pattern), 50, np.random.default_rng(0))
     assert acc == 1.0
 
 
 def test_mcmc_nob_stationary_moments_match_importance_oracle():
     w, x, params, y, pattern, sel = mnar_instance(20)
     y_o = y[pattern.observed_idx]
+    plan = GmrfPlan(w, pattern)
     mean_o, se_mo, second_o, se_so = importance_oracle(
-        params, sel, y_o, pattern, x, w, 60_000, seed=1)
+        params, sel, y_o, x, plan, 60_000, seed=1)
     rng = np.random.default_rng(2)
 
     def kernel(state):
-        return mcmc_nob(params, sel, y_o, pattern, x, w, 1, rng, y_u_init=state)
+        return mcmc_nob(params, sel, y_o, x, plan, 1, rng, y_u_init=state)
 
     states = run_chain(kernel, 12_000, pattern.n_u)
     se_mean = np.sqrt(chain_se(states) ** 2 + se_mo ** 2)
@@ -315,8 +333,9 @@ def test_mcmc_block_accepts_everything_when_psi_y_zero(grid4):
     x, params, y, pattern, _ = random_instance(grid4, 11, missing=0.3)
     sel = random_selection(16, 4, psi_y=0.0)
     part = make_blocks(pattern, 2, seed=0)
-    y_u, rates = mcmc_block(params, sel, y[pattern.observed_idx], pattern, part,
-                            x, grid4, "allb", 20, np.random.default_rng(0))
+    y_u, rates = mcmc_block(params, sel, y[pattern.observed_idx], part, x,
+                            GmrfPlan(grid4, pattern), "allb", 20,
+                            np.random.default_rng(0))
     np.testing.assert_allclose(rates, 1.0)
 
 
@@ -327,9 +346,10 @@ def test_mcmc_block_single_block_matches_nob_path():
     part = BlockPartition(blocks=(pattern.unobserved_idx,),
                           block_size=pattern.n_u)
     init = np.zeros(pattern.n_u)
-    y_nob, acc_nob = mcmc_nob(params, sel, y_o, pattern, x, w, 25,
+    plan = GmrfPlan(w, pattern)
+    y_nob, acc_nob = mcmc_nob(params, sel, y_o, x, plan, 25,
                               np.random.default_rng(5), y_u_init=init)
-    y_blk, rates = mcmc_block(params, sel, y_o, pattern, part, x, w, "allb",
+    y_blk, rates = mcmc_block(params, sel, y_o, part, x, plan, "allb",
                               25, np.random.default_rng(5),
                               y_u_init=init.copy())
     np.testing.assert_allclose(y_blk, y_nob, atol=1e-9)
@@ -344,12 +364,13 @@ def test_mcmc_allb_stationary_moments_match_importance_oracle():
     y_o = y[pattern.observed_idx]
     part = make_blocks(pattern, 3, seed=3)
     assert part.k == 2
+    plan = GmrfPlan(w, pattern)
     mean_o, se_mo, second_o, se_so = importance_oracle(
-        params, sel, y_o, pattern, x, w, 60_000, seed=4)
+        params, sel, y_o, x, plan, 60_000, seed=4)
     rng = np.random.default_rng(6)
 
     def kernel(state):
-        y_u, rates = mcmc_block(params, sel, y_o, pattern, part, x, w, "allb",
+        y_u, rates = mcmc_block(params, sel, y_o, part, x, plan, "allb",
                                 1, rng, y_u_init=state)
         return y_u, rates
 
@@ -368,12 +389,13 @@ def test_mcmc_randomb_stationary_moments_match_importance_oracle():
     y_o = y[pattern.observed_idx]
     part = make_blocks(pattern, 2, seed=5)
     assert part.k == 3
+    plan = GmrfPlan(w, pattern)
     mean_o, se_mo, second_o, se_so = importance_oracle(
-        params, sel, y_o, pattern, x, w, 60_000, seed=7)
+        params, sel, y_o, x, plan, 60_000, seed=7)
     rng = np.random.default_rng(8)
 
     def kernel(state):
-        y_u, rates = mcmc_block(params, sel, y_o, pattern, part, x, w,
+        y_u, rates = mcmc_block(params, sel, y_o, part, x, plan,
                                 "randomb", 1, rng, y_u_init=state, k_prime=2)
         return y_u, rates
 
@@ -387,8 +409,9 @@ def test_mcmc_randomb_stationary_moments_match_importance_oracle():
 def test_samplers_reproducible_under_fixed_seed():
     w, x, params, y, pattern, sel = mnar_instance(24)
     y_o = y[pattern.observed_idx]
-    a1, r1 = mcmc_nob(params, sel, y_o, pattern, x, w, 30, np.random.default_rng(42))
-    a2, r2 = mcmc_nob(params, sel, y_o, pattern, x, w, 30, np.random.default_rng(42))
+    plan = GmrfPlan(w, pattern)
+    a1, r1 = mcmc_nob(params, sel, y_o, x, plan, 30, np.random.default_rng(42))
+    a2, r2 = mcmc_nob(params, sel, y_o, x, plan, 30, np.random.default_rng(42))
     np.testing.assert_array_equal(a1, a2)
     assert r1 == r2
 
@@ -473,13 +496,14 @@ def test_hmc_on_sem_target_runs(grid4):
 def test_acceptance_rate_is_exact_integer_accounting():
     w, x, params, y, pattern, sel = mnar_instance(25)
     y_o = y[pattern.observed_idx]
+    plan = GmrfPlan(w, pattern)
     for n1 in (7, 13, 30):
-        _, acc = mcmc_nob(params, sel, y_o, pattern, x, w, n1,
+        _, acc = mcmc_nob(params, sel, y_o, x, plan, n1,
                           np.random.default_rng(3))
         assert (acc * n1) == pytest.approx(round(acc * n1), abs=1e-12)
         assert 0.0 <= acc <= 1.0
     part = make_blocks(pattern, 2, seed=0)
-    _, rates = mcmc_block(params, sel, y_o, pattern, part, x, w, "allb", 9,
+    _, rates = mcmc_block(params, sel, y_o, part, x, plan, "allb", 9,
                           np.random.default_rng(4))
     for r in rates:
         assert (r * 9) == pytest.approx(round(r * 9), abs=1e-12)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import multivariate_normal
 
-from spatialvb import (PartitionedView, SemParams, build_rook_grid_weights,
-                       from_unconstrained, partition, precision_matrix,
-                       row_normalize, sem_log_likelihood, to_unconstrained)
+from spatialvb import (SemParams, build_rook_grid_weights, from_unconstrained,
+                       precision_matrix, row_normalize, sem_log_likelihood,
+                       to_unconstrained)
 from spatialvb.sem import PrecisionOps, UnconstrainedSemParams
 from spatialvb.weights import SpatialWeights
 
@@ -62,6 +62,10 @@ def test_precision_positive_definite_across_interval(grid4):
 def test_precision_rejects_rho_outside_interval(grid3):
     with pytest.raises(ValueError):
         precision_matrix(1.5, grid3)
+    with pytest.raises(ValueError, match="outside"):
+        precision_matrix(-1.0, grid3)
+    with pytest.raises(ValueError, match="row-normalized"):
+        precision_matrix(0.5, build_rook_grid_weights(3))
 
 
 def test_loglik_standard_normal_case(grid3):
@@ -201,55 +205,3 @@ def test_round_trip_unconstrained_to_constrained():
         assert back.gamma == pytest.approx(u.gamma, abs=1e-12)
         assert back.rho_logit == pytest.approx(u.rho_logit, abs=1e-10)
 
-
-# -- partitioned views --------------------------------------------------------
-
-
-def test_partition_all_observed_is_whole_matrix(grid3):
-    m = precision_matrix(0.4, grid3)
-    view = partition(np.arange(9), np.array([], dtype=int), 9, m_y=m)
-    assert view.m_block("first", "first").shape == (9, 9)
-    assert abs(view.m_block("first", "first") - m).max() == 0
-    assert view.m_block("second", "second").shape == (0, 0)
-
-
-def test_partition_reassembles_permuted_parent(grid4):
-    m = precision_matrix(0.6, grid4)
-    first = np.array([i for i in range(16) if i not in (2, 3)])
-    second = np.array([2, 3])
-    view = partition(first, second, 16, m_y=m)
-    perm = view.permutation
-    dense = m.toarray()[np.ix_(perm, perm)]
-    top = np.hstack([view.m_block("first", "first").toarray(),
-                     view.m_block("first", "second").toarray()])
-    bottom = np.hstack([view.m_block("second", "first").toarray(),
-                        view.m_block("second", "second").toarray()])
-    np.testing.assert_array_equal(np.vstack([top, bottom]), dense)
-
-
-def test_partition_single_index_block_is_diagonal_entry(grid3):
-    m = precision_matrix(0.2, grid3)
-    view = partition(np.delete(np.arange(9), 5), np.array([5]), 9, m_y=m)
-    block = view.m_block("second", "second").toarray()
-    assert block.shape == (1, 1)
-    assert block[0, 0] == m.toarray()[5, 5]
-
-
-def test_partition_rejects_overlap(grid3):
-    with pytest.raises(ValueError):
-        PartitionedView(np.arange(5), np.arange(4, 9), 9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 16 - 1))
-def test_partition_tiles_sparse_pattern_exactly(seed):
-    rng = np.random.default_rng(seed)
-    w = row_normalize(build_rook_grid_weights(4))
-    m = precision_matrix(float(rng.uniform(-0.5, 0.9)), w)
-    k = int(rng.integers(1, 15))
-    second = rng.choice(16, size=k, replace=False)
-    first = np.setdiff1d(np.arange(16), second)
-    view = partition(first, second, 16, m_y=m)
-    total = sum(view.m_block(a, b).nnz
-                for a in ("first", "second") for b in ("first", "second"))
-    assert total == m.nnz

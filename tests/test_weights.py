@@ -147,3 +147,16 @@ def test_weights_validation_catches_diagonal():
     m = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="diagonal"):
         SpatialWeights(matrix=m)
+
+
+def test_row_sums_off_one_by_1e6_are_not_row_normalized(tmp_path):
+    from spatialvb.io import read_weights, write_weights
+    w = row_normalize(build_rook_grid_weights(4))
+    scaled = (1.0 + 1e-6) * w.matrix
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        SpatialWeights(matrix=scaled, row_normalized=True)
+    path = tmp_path / "W.txt"
+    write_weights(SpatialWeights(matrix=scaled), path)
+    assert not read_weights(path).row_normalized
+    write_weights(w, path)
+    assert read_weights(path).row_normalized
