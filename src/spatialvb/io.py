@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +19,10 @@ from scipy import sparse
 
 from .missing import MissingPattern
 from .vb import FitResult
-from .weights import SpatialWeights
+from .weights import ROW_SUM_ATOL, SpatialWeights, row_sum_gap
 
 NA_TOKEN = "NA"
+_TRIPLET = np.dtype([("i", np.intp), ("j", np.intp), ("v", float)])
 
 
 def _fmt(x) -> str:
@@ -44,49 +46,52 @@ def read_weights(path, row_normalized: bool | None = None) -> SpatialWeights:
 
     If row_normalized is None it is detected from the row sums.
     """
-    lines = Path(path).read_text().splitlines()
-    market = bool(lines) and lines[0].startswith("%%MatrixMarket")
-    entries: dict[tuple[int, int], float] = {}
-    size_line_pending = market
+    text = Path(path).read_text()
+    market = text.startswith("%%MatrixMarket")
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] not in "%#"]
     n_declared = None
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("%") or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if size_line_pending:
-            n_declared = int(parts[0])
-            if int(parts[1]) != n_declared:
-                raise ValueError("weight matrix must be square")
-            size_line_pending = False
-            continue
-        if len(parts) == 2:
-            i, j, v = int(parts[0]), int(parts[1]), 1.0
-        elif len(parts) == 3:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        else:
-            raise ValueError(f"malformed triplet line: {line!r}")
-        if market:
-            i, j = i - 1, j - 1
-        if i == j:
-            raise ValueError(f"diagonal weight entry at unit {i}")
-        if (i, j) in entries and entries[(i, j)] != v:
-            raise ValueError(f"conflicting duplicate entry at ({i}, {j})")
-        entries[(i, j)] = v
-    if not entries:
+    if market and lines:
+        parts = lines.pop(0).replace(",", " ").split()
+        n_declared = int(parts[0])
+        if int(parts[1]) != n_declared:
+            raise ValueError("weight matrix must be square")
+    if not lines:
         raise ValueError(f"no weight entries found in {path}")
-    for (i, j), v in list(entries.items()):
-        if (j, i) not in entries:
-            entries[(j, i)] = v
-    n = n_declared if n_declared is not None else 1 + max(max(i, j) for i, j in entries)
-    rows = np.fromiter((k[0] for k in entries), dtype=np.intp, count=len(entries))
-    cols = np.fromiter((k[1] for k in entries), dtype=np.intp, count=len(entries))
-    vals = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    m = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    width = np.fromiter((len(ln.replace(",", " ").split()) for ln in lines),
+                        dtype=np.intp, count=len(lines))
+    bad = np.flatnonzero((width < 2) | (width > 3))
+    if bad.size:
+        raise ValueError(f"malformed triplet line: {lines[bad[0]]!r}")
+    if (width == 2).any():   # an unweighted pair has weight 1
+        lines = [ln if w == 3 else ln + " 1" for ln, w in zip(lines, width)]
+    table = np.loadtxt(io.StringIO("\n".join(lines).replace(",", " ")),
+                       dtype=_TRIPLET, ndmin=1)
+    base = 1 if market else 0
+    i, j, v = table["i"] - base, table["j"] - base, table["v"]
+    span = int(max(i.max(), j.max())) + 1
+    key = i.astype(np.int64) * span + j
+    # group equal keys in file order; a repeat conflicts if its value differs
+    # from the first, so the error names the first offending line, as a
+    # line-by-line reader would
+    order = np.argsort(key, kind="stable")
+    fresh = np.concatenate([[True], key[order][1:] != key[order][:-1]])
+    first_of = order[np.maximum.accumulate(np.where(fresh, np.arange(key.size), 0))]
+    conflict = order[~fresh & (v[order] != v[first_of])]
+    diagonal = np.flatnonzero(i == j)
+    if diagonal.size and not (conflict.size and conflict.min() < diagonal[0]):
+        raise ValueError(f"diagonal weight entry at unit {i[diagonal[0]]}")
+    if conflict.size:
+        k = conflict.min()
+        raise ValueError(f"conflicting duplicate entry at ({i[k]}, {j[k]})")
+    keep = order[fresh]
+    i, j, v = i[keep], j[keep], v[keep]
+    lone = ~np.isin(j.astype(np.int64) * span + i, key)   # mirror these
+    n = n_declared if n_declared is not None else span
+    m = sparse.csr_matrix((np.concatenate([v, v[lone]]),
+                           (np.concatenate([i, j[lone]]), np.concatenate([j, i[lone]]))),
+                          shape=(n, n))
     if row_normalized is None:
-        sums = np.asarray(m.sum(axis=1)).ravel()
-        occupied = np.diff(m.indptr) > 0
-        row_normalized = bool(np.allclose(sums[occupied], 1.0, rtol=0.0, atol=1e-12))
+        row_normalized = row_sum_gap(m) <= ROW_SUM_ATOL
     return SpatialWeights(matrix=m, row_normalized=row_normalized)
 
 
@@ -135,19 +140,27 @@ def write_matrix(mat: np.ndarray, path, prefix: str) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _raise_ragged(path, body: str, ncol: int) -> None:
+    for row in csv.reader(io.StringIO(body)):
+        if row and len(row) != ncol:
+            raise ValueError(f"{path}: ragged row {row!r}")
+
+
 def read_matrix(path) -> np.ndarray:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ncol = len(header)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != ncol:
-                raise ValueError(f"{path}: ragged row {row!r}")
-            rows.append([float(v) for v in row])
-    return np.asarray(rows)
+        ncol = len(next(csv.reader([fh.readline()])))
+        body = fh.read()
+    if not body.strip():
+        return np.empty((0, ncol))
+    try:
+        mat = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"',
+                         comments=None, ndmin=2)
+    except ValueError:
+        _raise_ragged(path, body, ncol)
+        raise
+    if mat.shape[1] != ncol:
+        _raise_ragged(path, body, ncol)
+    return mat
 
 
 def write_pattern(pattern: MissingPattern, path) -> None:

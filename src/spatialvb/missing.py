@@ -4,6 +4,7 @@ and block partitions of the unobserved index set."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,34 +65,67 @@ class SelectionModel:
         object.__setattr__(self, "psi_x", psi_x)
         object.__setattr__(self, "x_star", x_star)
 
-    def linear_predictor(self, y: np.ndarray) -> np.ndarray:
-        return self.x_star @ self.psi_x + self.psi_y * y
-
     @property
     def psi(self) -> np.ndarray:
         """Stacked (psi_x, psi_y), length q+2."""
         return np.append(self.psi_x, self.psi_y)
 
 
-def _log_sigmoid_terms(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # m_i t_i - log(1 + exp(t_i)), overflow-safe for |t| far beyond 700
-    return m * t - np.logaddexp(0.0, t)
+def _predictor(x_star, psi_x, psi_y: float, y: np.ndarray) -> np.ndarray:
+    return x_star @ psi_x + psi_y * y
 
 
-def selection_log_prob(m, y: np.ndarray, sel: SelectionModel) -> float:
-    """Log of the product-Bernoulli missingness likelihood p(m | y, psi)."""
+def _logistic(t: np.ndarray) -> np.ndarray:
+    # logistic via tanh avoids overflow in exp
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+class SelectionTerms:
+    """The selection model at one full response y, for the missingness
+    vector m: the predictor t = x* psi_x + psi_y y and the residual m - p,
+    each computed once, with the log likelihood and both gradients read off
+    them. Inputs are taken as given; the public ``selection_*`` functions
+    check them."""
+
+    def __init__(self, m: np.ndarray, y: np.ndarray, x_star: np.ndarray,
+                 psi_x: np.ndarray, psi_y: float):
+        self.m, self.y, self.x_star, self.psi_y = m, y, x_star, psi_y
+        self.t = _predictor(x_star, psi_x, psi_y, y)
+
+    @cached_property
+    def resid(self) -> np.ndarray:
+        return self.m - _logistic(self.t)
+
+    def log_prob(self) -> float:
+        """log p(m | y, psi) = sum_i m_i t_i - log(1 + exp(t_i)), overflow-safe
+        for |t| far beyond 700."""
+        return float(np.sum(self.m * self.t - np.logaddexp(0.0, self.t)))
+
+    def grad_psi(self) -> np.ndarray:
+        """d log p / d psi = sum_i (m_i - p_i) z_i, z_i = (x*_i, y_i)."""
+        return np.append(self.x_star.T @ self.resid, float(self.y @ self.resid))
+
+    def grad_y(self, idx: np.ndarray) -> np.ndarray:
+        """d log p / d y_idx = (m_i - p_i) psi_y."""
+        return self.psi_y * self.resid[idx]
+
+
+def _terms(m, y: np.ndarray, sel: SelectionModel) -> SelectionTerms:
     m_vec = m.m if isinstance(m, MissingPattern) else np.asarray(m)
     y = np.asarray(y, dtype=float)
     if y.shape[0] != sel.x_star.shape[0] or m_vec.shape[0] != y.shape[0]:
         raise ValueError("m, y, and x_star must share the unit dimension")
-    t = sel.linear_predictor(y)
-    return float(np.sum(_log_sigmoid_terms(m_vec, t)))
+    return SelectionTerms(m_vec, y, sel.x_star, sel.psi_x, sel.psi_y)
+
+
+def selection_log_prob(m, y: np.ndarray, sel: SelectionModel) -> float:
+    """Log of the product-Bernoulli missingness likelihood p(m | y, psi)."""
+    return _terms(m, y, sel).log_prob()
 
 
 def selection_probabilities(y: np.ndarray, sel: SelectionModel) -> np.ndarray:
-    t = sel.linear_predictor(np.asarray(y, dtype=float))
-    # logistic via tanh avoids overflow in exp
-    return 0.5 * (1.0 + np.tanh(0.5 * t))
+    y = np.asarray(y, dtype=float)
+    return _logistic(_predictor(sel.x_star, sel.psi_x, sel.psi_y, y))
 
 
 def selection_grad_psi(m, y: np.ndarray, sel: SelectionModel) -> np.ndarray:
@@ -99,21 +133,14 @@ def selection_grad_psi(m, y: np.ndarray, sel: SelectionModel) -> np.ndarray:
 
     No prior term; the posterior module appends it.
     """
-    m_vec = m.m if isinstance(m, MissingPattern) else np.asarray(m)
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != sel.x_star.shape[0] or m_vec.shape[0] != y.shape[0]:
-        raise ValueError("m, y, and x_star must share the unit dimension")
-    resid = m_vec - selection_probabilities(y, sel)
-    return np.append(sel.x_star.T @ resid, float(y @ resid))
+    return _terms(m, y, sel).grad_psi()
 
 
 def selection_grad_yu(m, y: np.ndarray, sel: SelectionModel,
                       pattern: MissingPattern) -> np.ndarray:
     """d selection_log_prob / d y_u, entrywise (m_i - p_i) psi_y at missing
     positions (where m_i = 1 this is (1 - p_i) psi_y)."""
-    m_vec = m.m if isinstance(m, MissingPattern) else np.asarray(m)
-    resid = m_vec - selection_probabilities(y, sel)
-    return sel.psi_y * resid[pattern.unobserved_idx]
+    return _terms(m, y, sel).grad_y(pattern.unobserved_idx)
 
 
 def generate_mar(y: np.ndarray, fraction: float, seed) -> MissingPattern:
@@ -161,10 +188,10 @@ class BlockPartition:
             raise ValueError("block exceeds the target block size")
         if sum(s < self.block_size for s in sizes) > 1:
             raise ValueError("at most one remainder block may be undersized")
-        combined = np.concatenate(blocks)
+        object.__setattr__(self, "blocks", blocks)
+        combined = self.indices
         if np.unique(combined).size != combined.size:
             raise ValueError("blocks overlap")
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k(self) -> int:
@@ -172,7 +199,7 @@ class BlockPartition:
 
     @property
     def indices(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        return np.concatenate((np.empty(0, dtype=np.intp), *self.blocks))
 
 
 def default_block_size(n_u: int, mechanism: str) -> int:
@@ -187,12 +214,13 @@ def default_block_size(n_u: int, mechanism: str) -> int:
 
 
 def make_blocks(pattern: MissingPattern, block_size: int, seed) -> BlockPartition:
-    """Shuffle the unobserved indices and chunk them into ceil(n_u/k*) blocks."""
+    """Shuffle the unobserved indices and chunk them into ceil(n_u/k*) blocks;
+    with nothing missing there are no blocks."""
     n_u = pattern.n_u
-    if not (1 <= block_size <= n_u):
+    if n_u and not (1 <= block_size <= n_u):
         raise ValueError(f"block size {block_size} out of range [1, {n_u}]")
     rng = np.random.default_rng(seed)
     shuffled = rng.permutation(pattern.unobserved_idx)
-    k = int(np.ceil(n_u / block_size))
+    k = int(np.ceil(n_u / block_size)) if n_u else 0
     blocks = tuple(shuffled[j * block_size:(j + 1) * block_size] for j in range(k))
     return BlockPartition(blocks=blocks, block_size=block_size)

@@ -13,10 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .missing import (MissingPattern, SelectionModel, selection_grad_psi,
-                      selection_grad_yu, selection_log_prob)
+from .missing import MissingPattern, SelectionModel, SelectionTerms
 from .sem import RHO_MARGIN, PrecisionOps, SemParams, drho_dlogit, rho_from_logit
-from .weights import SpatialWeights
+from .weights import SpatialWeights, row_sum_gap
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,11 @@ class TargetDensity:
         if mechanism == "mnar" and x_star is None:
             raise ValueError("MNAR target needs the selection design x_star")
         if not weights.row_normalized:
-            raise ValueError("target requires row-normalized weights")
+            raise ValueError(
+                "target requires row-normalized weights, but the largest "
+                f"|row sum - 1| is {row_sum_gap(weights.matrix):.3g}; write the "
+                "weights at full precision, or row-normalise them with "
+                "spatialvb.weights.row_normalize")
         self.mechanism = mechanism
         self.x = np.asarray(x, dtype=float)
         self.weights = weights
@@ -72,6 +75,13 @@ class TargetDensity:
         if y_obs.shape != (pattern.n_o,):
             raise ValueError(f"y_obs has shape {y_obs.shape}, expected ({pattern.n_o},)")
         self.y_obs = y_obs
+        if mechanism == "mnar":
+            # validate x_star once; evaluations read psi straight from theta
+            SelectionModel(psi_x=np.zeros(self.x_star.shape[1]), psi_y=0.0,
+                           x_star=self.x_star)
+        # W^T is the CSC view that ``matrix.T`` returns, held so that each
+        # evaluation builds no sparse matrix
+        self._wt = weights.matrix.T
         self.ops = PrecisionOps(weights, exact_max_n=exact_max_n)
         # the spectrum of a row-normalised W lies in [-1, 1], so (-1, 1), the
         # image of rho = tanh(l / 2), is inside the admissible interval
@@ -119,8 +129,8 @@ class TargetDensity:
     # -- evaluation ----------------------------------------------------
 
     def _split(self, theta: np.ndarray):
-        """(beta, gamma, rho_logit, rho, selection model or None); raises
-        ValueError if rho leaves its admissible interval."""
+        """(beta, gamma, rho_logit, rho, psi or None); raises ValueError if
+        rho leaves its admissible interval."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.S,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.S},)")
@@ -131,34 +141,37 @@ class TargetDensity:
         lo, hi = self.rho_bounds
         if not (lo + RHO_MARGIN < rho < hi - RHO_MARGIN):
             raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
-        sel = None
-        if self.mechanism == "mnar":
-            q1 = self.x_star.shape[1]
-            sel = SelectionModel(psi_x=theta[self.n_beta + 2:self.n_beta + 2 + q1],
-                                 psi_y=float(theta[-1]), x_star=self.x_star)
-        return beta, gamma, lam, rho, sel
+        psi = theta[self.n_beta + 2:] if self.mechanism == "mnar" else None
+        return beta, gamma, lam, rho, psi
 
     def model_params(self, theta: np.ndarray
                      ) -> tuple[SemParams, SelectionModel | None]:
         """The constrained SEM parameters at theta and, under MNAR, the
         selection model. Raises ValueError if rho leaves its interval."""
-        beta, gamma, _, rho, sel = self._split(theta)
+        beta, gamma, _, rho, psi = self._split(theta)
+        sel = None
+        if psi is not None:
+            sel = SelectionModel(psi_x=psi[:-1], psi_y=float(psi[-1]),
+                                 x_star=self.x_star)
         return SemParams(beta=beta, sigma2_y=float(np.exp(gamma)), rho=rho), sel
 
     def _prepare(self, theta: np.ndarray, y_u: np.ndarray) -> SimpleNamespace:
-        beta, gamma, lam, rho, sel = self._split(theta)
+        beta, gamma, lam, rho, psi = self._split(theta)
         y_u = np.asarray(y_u, dtype=float)
         if y_u.shape != (self.n_u,):
             raise ValueError(f"y_u has shape {y_u.shape}, expected ({self.n_u},)")
         y = self.pattern.assemble(self.y_obs, y_u)
         r = y - self.x @ beta
-        w = self.weights.matrix
-        ar = r - rho * (w @ r)          # A r
-        m_r = ar - rho * (w.T @ ar)     # M_y r = A^T A r
+        wr = self.weights.matrix @ r
+        ar = r - rho * wr               # A r
+        m_r = ar - rho * (self._wt @ ar)  # M_y r = A^T A r
         quad = float(ar @ ar)           # r^T M_y r
-        return SimpleNamespace(beta=beta, gamma=gamma, lam=lam, sel=sel, rho=rho,
-                               exp_ng=np.exp(-gamma), y=y, r=r, m_r=m_r, quad=quad,
-                               pivots=self.ops.pivots(rho))
+        sel = None
+        if psi is not None:
+            sel = SelectionTerms(self.pattern.m, y, self.x_star, psi[:-1], float(psi[-1]))
+        return SimpleNamespace(beta=beta, gamma=gamma, lam=lam, psi=psi, sel=sel,
+                               rho=rho, exp_ng=np.exp(-gamma), r=r, wr=wr, m_r=m_r,
+                               quad=quad, pivots=self.ops.pivots(rho))
 
     def _value(self, s: SimpleNamespace) -> float:
         pr = self.priors
@@ -168,10 +181,9 @@ class TargetDensity:
                - 0.5 * float(s.beta @ s.beta) / pr.var_beta
                - 0.5 * s.gamma ** 2 / pr.var_gamma
                - 0.5 * s.lam ** 2 / pr.var_rho_logit)
-        if self.mechanism == "mnar":
-            psi = s.sel.psi
-            val += selection_log_prob(self.pattern, s.y, s.sel)
-            val -= 0.5 * float(psi @ psi) / pr.var_psi
+        if s.sel is not None:
+            val += s.sel.log_prob()
+            val -= 0.5 * float(s.psi @ s.psi) / pr.var_psi
         return float(val)
 
     def _grad_theta(self, s: SimpleNamespace) -> np.ndarray:
@@ -179,24 +191,20 @@ class TargetDensity:
         g_beta = s.exp_ng * (self.x.T @ s.m_r) - s.beta / pr.var_beta
         g_gamma = -0.5 * self.n + 0.5 * s.exp_ng * s.quad - s.gamma / pr.var_gamma
         # dM/drho applied to r: -(W^T + W) r + 2 rho W^T W r
-        w = self.weights.matrix
-        wr = w @ s.r
-        dm_r = -(w.T @ s.r) - wr + 2.0 * s.rho * (w.T @ wr)
+        dm_r = -(self._wt @ s.r) - s.wr + 2.0 * s.rho * (self._wt @ s.wr)
         trace = self.ops.trace_minv_dm(s.rho, s.pivots)
         dr_dl = drho_dlogit(s.rho)
         g_lambda = ((0.5 * trace - 0.5 * s.exp_ng * float(s.r @ dm_r)) * dr_dl
                     - s.lam / pr.var_rho_logit)
         grad = np.concatenate([g_beta, [g_gamma, g_lambda]])
-        if self.mechanism == "mnar":
-            g_psi = (selection_grad_psi(self.pattern, s.y, s.sel)
-                     - s.sel.psi / pr.var_psi)
-            grad = np.concatenate([grad, g_psi])
+        if s.sel is not None:
+            grad = np.concatenate([grad, s.sel.grad_psi() - s.psi / pr.var_psi])
         return grad
 
     def _grad_yu(self, s: SimpleNamespace) -> np.ndarray:
         grad = -s.exp_ng * s.m_r[self.pattern.unobserved_idx]
-        if self.mechanism == "mnar":
-            grad = grad + selection_grad_yu(self.pattern, s.y, s.sel, self.pattern)
+        if s.sel is not None:
+            grad = grad + s.sel.grad_y(self.pattern.unobserved_idx)
         return grad
 
     # Thin public views on one preparation pass each; none calls another, so

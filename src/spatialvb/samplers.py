@@ -112,10 +112,14 @@ class GmrfFactor:
         out[self.perm] = x
         return out
 
-    def rows_dot(self, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """M[idx, :] v."""
+    def rows(self, data: np.ndarray) -> np.ndarray:
+        """The stored entries of M[idx, :], row by row, for :meth:`rows_dot`."""
         self._check(data)
-        return np.bincount(self._row_of, weights=data[self._row_src] * v[self._row_cols],
+        return data[self._row_src]
+
+    def rows_dot(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """M[idx, :] v, with ``rows`` from :meth:`rows`."""
+        return np.bincount(self._row_of, weights=rows * v[self._row_cols],
                            minlength=self.idx.size)
 
 
@@ -171,16 +175,20 @@ class _Conditionals:
         self.m_data = plan.precision.data(phi.rho)
         self.factors = factors
         self.bands = [f.cholesky(self.m_data, phi.rho) for f in factors]
+        # per block, what stays fixed across visits at this phi
+        self.rows = [f.rows(self.m_data) for f in factors]
+        self.xb_blocks = [self.xb[f.idx] for f in factors]
+        self.scale = np.sqrt(phi.sigma2_y)
 
     def mean(self, j: int, resid: np.ndarray) -> np.ndarray:
         f, band = self.factors[j], self.bands[j]
-        return (resid[f.idx] + self.xb[f.idx]
-                - f.solve(band, f.rows_dot(self.m_data, resid)))
+        return (resid[f.idx] + self.xb_blocks[j]
+                - f.solve(band, f.rows_dot(self.rows[j], resid)))
 
     def draw(self, j: int, resid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         f, band = self.factors[j], self.bands[j]
         z = rng.standard_normal(f.idx.size)
-        return self.mean(j, resid) + np.sqrt(self.phi.sigma2_y) * f.correlate(band, z)
+        return self.mean(j, resid) + self.scale * f.correlate(band, z)
 
 
 def mar_conditional(phi: SemParams, y_o: np.ndarray, x: np.ndarray,
@@ -217,17 +225,17 @@ def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
     resid = y - work.xb
     for _ in range(n1):
         for j, f in enumerate(work.factors):
-            y[f.idx] = work.draw(j, resid, rng)
-            resid[f.idx] = y[f.idx] - work.xb[f.idx]
+            draw = work.draw(j, resid, rng)
+            y[f.idx] = draw
+            resid[f.idx] = draw - work.xb_blocks[j]
     return y[plan.pattern.unobserved_idx]
 
 
-def _missing_sel_terms(y_vals: np.ndarray, idx: np.ndarray,
-                       sel: SelectionModel) -> float:
-    # log p(m_i | y_i) restricted to missing units (m_i = 1):
-    # t - log(1 + e^t) = -log(1 + e^{-t})
-    t = sel.x_star[idx] @ sel.psi_x + sel.psi_y * y_vals
-    return float(-np.sum(np.logaddexp(0.0, -t)))
+def _missing_sel_terms(x_psi: np.ndarray, psi_y: float, y_vals: np.ndarray) -> float:
+    # log p(m_i | y_i) summed over missing units (m_i = 1), with
+    # x_psi = x*_i psi_x held by the caller: t - log(1 + e^t) = -log(1 + e^{-t})
+    t = x_psi + psi_y * y_vals
+    return float(-np.logaddexp(0.0, -t).sum())
 
 
 def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
@@ -238,16 +246,16 @@ def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
     cg = mar_conditional(phi, y_o, x, plan)
-    u_idx = plan.pattern.unobserved_idx
     if y_u_init is None:
         y_u = sample_conditional(cg, rng)
     else:
         y_u = np.asarray(y_u_init, dtype=float).copy()
-    log_sel = _missing_sel_terms(y_u, u_idx, sel)
+    x_psi = sel.x_star[plan.pattern.unobserved_idx] @ sel.psi_x
+    log_sel = _missing_sel_terms(x_psi, sel.psi_y, y_u)
     accepted = 0
     for _ in range(n1):
         proposal = sample_conditional(cg, rng)
-        log_sel_prop = _missing_sel_terms(proposal, u_idx, sel)
+        log_sel_prop = _missing_sel_terms(x_psi, sel.psi_y, proposal)
         if np.log(rng.random()) < log_sel_prop - log_sel:
             y_u, log_sel = proposal, log_sel_prop
             accepted += 1
@@ -278,6 +286,11 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
         y_u_init = sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
     y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
     resid = y - work.xb
+    # psi is fixed within the call, and the selection term of a block's
+    # current state changes only when a proposal for that block is accepted
+    x_psi = [sel.x_star[f.idx] @ sel.psi_x for f in work.factors]
+    log_sel = [_missing_sel_terms(x_psi[j], sel.psi_y, y[f.idx])
+               for j, f in enumerate(work.factors)]
     proposed = np.zeros(k, dtype=np.int64)
     accepted = np.zeros(k, dtype=np.int64)
     for _ in range(n1):
@@ -286,14 +299,14 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
         else:
             visit = rng.choice(k, size=k_prime, replace=False)
         for j in visit:
-            idx = work.factors[j].idx
             proposal = work.draw(j, resid, rng)
-            log_ratio = (_missing_sel_terms(proposal, idx, sel)
-                         - _missing_sel_terms(y[idx], idx, sel))
+            log_sel_prop = _missing_sel_terms(x_psi[j], sel.psi_y, proposal)
             proposed[j] += 1
-            if np.log(rng.random()) < log_ratio:
+            if np.log(rng.random()) < log_sel_prop - log_sel[j]:
+                idx = work.factors[j].idx
                 y[idx] = proposal
-                resid[idx] = proposal - work.xb[idx]
+                resid[idx] = proposal - work.xb_blocks[j]
+                log_sel[j] = log_sel_prop
                 accepted[j] += 1
     with np.errstate(invalid="ignore"):
         rates = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)
@@ -323,7 +336,7 @@ class McmcConfig:
             raise ValueError("n1 must be at least 1")
         if self.scheme in ("gibbs", "allb", "randomb") and self.partition is None:
             raise ValueError(f"scheme {self.scheme!r} needs a block partition")
-        if self.scheme == "randomb" and self.partition is not None:
+        if self.scheme == "randomb" and self.partition is not None and self.partition.k:
             if not (1 <= self.k_prime <= self.partition.k):
                 raise ValueError(f"k_prime={self.k_prime} out of range "
                                  f"[1, {self.partition.k}]")

@@ -152,17 +152,18 @@ class PrecisionOps:
         self.weights = w
         self.eigenvalues = weight_eigenvalues(w) if w.n <= exact_max_n else None
 
-    def pivots(self, rho: float) -> np.ndarray | None:
-        """The complex pivots u_ii of I - (rho + ih) W; None when the spectrum
-        is held. Pass them to :meth:`logdet_m` and :meth:`trace_minv_dm` at
-        the same rho to share one factorization.
+    def pivots(self, rho: float) -> np.ndarray:
+        """The pivots of I - rho W at one rho: the factors 1 - rho lam_i of
+        its determinant when the spectrum is held, otherwise the complex
+        pivots u_ii of I - (rho + ih) W. Pass them to :meth:`logdet_m` and
+        :meth:`trace_minv_dm` at the same rho to share one computation.
 
         The LU does not pivot: for |rho| < 1 and row-normalised W the matrix
         is strictly row diagonally dominant, symmetric reordering keeps that,
         and elimination then meets only pivots with positive real part.
         """
         if self.eigenvalues is not None:
-            return None
+            return 1.0 - rho * self.eigenvalues
         a = spatial_filter(complex(rho, _COMPLEX_STEP), self.weights).tocsc()
         lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -174,19 +175,18 @@ class PrecisionOps:
 
     def logdet_m(self, rho: float, pivots: np.ndarray | None = None) -> float:
         """log |M_y| = 2 log det(I - rho W)."""
-        if self.eigenvalues is not None:
-            t = 1.0 - rho * self.eigenvalues
-            if np.any(t <= 0.0):
-                raise ValueError(f"rho={rho} outside admissible interval")
-            return float(2.0 * np.sum(np.log(t)))
         u = self.pivots(rho) if pivots is None else pivots
+        if self.eigenvalues is not None:
+            if np.any(u <= 0.0):
+                raise ValueError(f"rho={rho} outside admissible interval")
+            return float(2.0 * np.sum(np.log(u)))
         return float(2.0 * np.sum(np.log(u.real)))
 
     def trace_minv_dm(self, rho: float, pivots: np.ndarray | None = None) -> float:
         """tr{M_y^{-1} dM_y/drho} = d log|M_y| / drho = -2 tr{A^{-1} W}."""
-        if self.eigenvalues is not None:
-            return float(-2.0 * np.sum(self.eigenvalues / (1.0 - rho * self.eigenvalues)))
         u = self.pivots(rho) if pivots is None else pivots
+        if self.eigenvalues is not None:
+            return float(-2.0 * np.sum(self.eigenvalues / u))
         return float(2.0 * np.sum(u.imag / u.real) / _COMPLEX_STEP)
 
 

@@ -353,3 +353,120 @@ def test_fit_artifact_schemas(tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["kind"] == "fit" and manifest["dataset_digest"]
     assert (run_dir / "run_config.json").exists()
+
+
+# -- readers against the line-by-line reference -------------------------------
+
+
+_WEIGHT_FILES = {
+    "market": ("%%MatrixMarket matrix coordinate real general\n% a comment\n"
+               "4 4 5\n1 2 0.5\n2 1 0.25\n2 3 1e-3\n3 2 7\n4 3 0.1\n"),
+    "two-column": "0 1\n1 2\n2 0\n1 0\n",
+    "comma-separated": "0,1,0.1\n1, 0, 0.2\n1 ,2,0.30000000000000004\n2,1,3\n",
+    "commented": ("# neighbours\n\n0 1 1.5\n  % aside\n1 0 2.5\n\n"
+                  "# tail\n2 3 0.125\n3 2 0.125\n0 1 1.5\n"),
+    "one-triangle": "0 1 0.5\n0 2 0.25\n1 3 2.0\n2 3 0.1\n",
+    "mixed-width": "0 1\n1 2 0.5\n2 1 0.5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHT_FILES))
+def test_weights_reader_equals_line_reference(tmp_path, name):
+    from reference_parsers import read_weights_lines
+    path = tmp_path / "W.txt"
+    path.write_text(_WEIGHT_FILES[name])
+    got, want = read_weights(path).matrix, read_weights_lines(path)
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_dataset_readers_equal_line_reference(tmp_path):
+    from reference_parsers import read_matrix_lines, read_weights_lines
+    mnar = {"kind": "MNAR", "psi_0": 0.2, "psi_xstar": 0.5, "psi_y": -0.2,
+            "covariate_index": 1}
+    ds = make_dataset(tmp_path, mechanism=mnar, seed=4)
+    for name in ("X.csv", "Xstar.csv"):
+        got, want = read_matrix(ds / name), read_matrix_lines(ds / name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = read_weights(ds / "W.txt").matrix, read_weights_lines(ds / "W.txt")
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1 1.0\n1 1 1.0\n", "diagonal weight entry at unit 1"),
+    ("0 1 1.0\n1 0 1.0\n0 1 2.0\n", r"conflicting duplicate entry at \(0, 1\)"),
+    ("0 1 1.0\n0 1 2.0\n2 2 1.0\n", r"conflicting duplicate entry at \(0, 1\)"),
+    ("2 2 1.0\n0 1 1.0\n0 1 2.0\n", "diagonal weight entry at unit 2"),
+    ("0 1 1.0\n1 0 1.0 9\n", "malformed triplet line: '1 0 1.0 9'"),
+    ("%%MatrixMarket matrix coordinate real general\n3 4 2\n1 2 1.0\n",
+     "weight matrix must be square"),
+    ("# only comments\n", "no weight entries found"),
+])
+def test_weights_reader_errors_match_line_reference(tmp_path, text, message):
+    from reference_parsers import read_weights_lines
+    path = tmp_path / "W.txt"
+    path.write_text(text)
+    for reader in (read_weights, read_weights_lines):
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
+
+@pytest.mark.parametrize("body", ["1.0,2.0\n3.0\n", "1.0,2.0,3.0\n4.0,5.0,6.0\n"])
+def test_matrix_reader_names_ragged_row(tmp_path, body):
+    from reference_parsers import read_matrix_lines
+    path = tmp_path / "X.csv"
+    path.write_text("x0,x1\n" + body)
+    for reader in (read_matrix, read_matrix_lines):
+        with pytest.raises(ValueError, match="ragged row"):
+            reader(path)
+
+
+# -- datasets the simulator does not write -------------------------------------
+
+
+def _fully_observed(tmp_path, mechanism):
+    """An 8 x 8 dataset whose every response is observed."""
+    cfg_path = write_sim_config(tmp_path, side=8, mechanism=mechanism, seed=5)
+    out = tmp_path / "full"
+    main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    (out / "y.csv").write_text((out / "y_full.csv").read_text())
+    for name in ("pattern.csv", "manifest.json"):
+        (out / name).unlink()
+    return out
+
+
+@pytest.mark.parametrize("mechanism, methods", [
+    (None, ("hvb-nob", "hvb-g")),
+    ({"kind": "MNAR", "psi_0": 0.2, "psi_xstar": 0.5, "psi_y": -0.2,
+      "covariate_index": 1}, ("hvb-nob", "hvb-allb", "hvb-3b")),
+])
+def test_cli_hvb_methods_run_with_nothing_missing(tmp_path, mechanism, methods):
+    ds = _fully_observed(tmp_path, mechanism)
+    for method in methods:
+        run_dir = tmp_path / method
+        cfg = tmp_path / f"{method}.json"
+        cfg.write_text(json.dumps(run_config(ds, method, run_dir, iterations=10)))
+        assert main(["fit", "--config", str(cfg)]) == 0, method
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["method"] == method
+        assert all(np.isfinite(v["mean"]) for v in summary["theta"].values())
+
+
+def test_cli_names_the_row_sum_gap_of_short_printed_weights(tmp_path, capsys):
+    cfg_path = write_sim_config(tmp_path, side=10, seed=6)
+    ds = tmp_path / "ds"
+    main(["simulate", "--config", str(cfg_path), "--out", str(ds)])
+    w = read_weights(ds / "W.txt")
+    coo = w.matrix.tocoo()
+    (ds / "W.txt").write_text("".join(f"{i} {j} {v:.6g}\n"
+                                      for i, j, v in zip(coo.row, coo.col, coo.data)))
+    assert not read_weights(ds / "W.txt").row_normalized
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(run_config(ds, "jvb", tmp_path / "run", iterations=5)))
+    assert main(["fit", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "largest |row sum - 1| is 1e-06" in err
+    assert "full precision" in err and "row_normalize" in err

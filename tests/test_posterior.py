@@ -252,3 +252,58 @@ def test_lu_backend_evaluations_are_deterministic():
     assert first[0] == second[0]
     for a, b in zip(first[1:], second[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+def _log_h_and_grads_from_pieces(target, theta, y_u):
+    """log h and its gradients from the SEM terms, the public selection_*
+    functions and the priors, in the order of operations of the fused pass."""
+    from spatialvb import selection_grad_psi, selection_grad_yu, selection_log_prob
+    from spatialvb.sem import drho_dlogit
+    pr, nb = target.priors, target.n_beta
+    phi, sel = target.model_params(theta)
+    beta, gamma, lam, rho = theta[:nb], float(theta[nb]), float(theta[nb + 1]), phi.rho
+    y = target.pattern.assemble(target.y_obs, y_u)
+    r = y - target.x @ beta
+    w = target.weights.matrix
+    ar = r - rho * (w @ r)
+    m_r = ar - rho * (w.T @ ar)
+    quad = float(ar @ ar)
+    exp_ng = np.exp(-gamma)
+    value = (-0.5 * target.n * gamma + 0.5 * target.ops.logdet_m(rho)
+             - 0.5 * exp_ng * quad - 0.5 * float(beta @ beta) / pr.var_beta
+             - 0.5 * gamma ** 2 / pr.var_gamma - 0.5 * lam ** 2 / pr.var_rho_logit)
+    dm_r = -(w.T @ r) - w @ r + 2.0 * rho * (w.T @ (w @ r))
+    g_lambda = ((0.5 * target.ops.trace_minv_dm(rho)
+                 - 0.5 * exp_ng * float(r @ dm_r)) * drho_dlogit(rho)
+                - lam / pr.var_rho_logit)
+    g_theta = np.concatenate([exp_ng * (target.x.T @ m_r) - beta / pr.var_beta,
+                              [-0.5 * target.n + 0.5 * exp_ng * quad
+                               - gamma / pr.var_gamma, g_lambda]])
+    g_yu = -exp_ng * m_r[target.pattern.unobserved_idx]
+    if sel is not None:
+        value += selection_log_prob(target.pattern, y, sel)
+        value -= 0.5 * float(sel.psi @ sel.psi) / pr.var_psi
+        g_theta = np.concatenate([g_theta, selection_grad_psi(target.pattern, y, sel)
+                                  - sel.psi / pr.var_psi])
+        g_yu = g_yu + selection_grad_yu(target.pattern, y, sel, target.pattern)
+    return float(value), g_theta, g_yu
+
+
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+def test_fused_evaluation_equals_its_public_pieces_exactly(grid4, mechanism):
+    # the fused pass shares W r, W^T, the selection predictor and the
+    # logistic across value and gradients; sharing must not move one bit
+    for seed in range(4):
+        target, theta, y_u, _ = make_target(grid4, seed, mechanism=mechanism)
+        rng = np.random.default_rng(100 + seed)
+        theta = theta + 0.3 * rng.standard_normal(theta.shape)
+        y_u = y_u + rng.standard_normal(y_u.shape)
+        value, g_theta, g_yu = target.log_h_and_grads(theta, y_u)
+        ref_value, ref_theta, ref_yu = _log_h_and_grads_from_pieces(target, theta, y_u)
+        assert value == ref_value
+        np.testing.assert_array_equal(g_theta, ref_theta)
+        np.testing.assert_array_equal(g_yu, ref_yu)
+        assert target.log_h(theta, y_u) == value
+        np.testing.assert_array_equal(target.grad_log_h_theta(theta, y_u), g_theta)
+        np.testing.assert_array_equal(target.grad_log_h_yu(theta, y_u), g_yu)
+

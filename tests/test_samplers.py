@@ -507,3 +507,31 @@ def test_acceptance_rate_is_exact_integer_accounting():
                           np.random.default_rng(4))
     for r in rates:
         assert (r * 9) == pytest.approx(round(r * 9), abs=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["allb", "randomb", "nob"])
+def test_cached_metropolis_equals_the_uncached_loop(scheme):
+    # the samplers hold x*[idx] psi_x per block and each block's current
+    # selection term; at a fixed seed they must reproduce, bit for bit, the
+    # loop that recomputed both at every proposal
+    from reference_samplers import mcmc_block_uncached, mcmc_nob_uncached
+    from spatialvb import build_rook_grid_weights, row_normalize
+    w = row_normalize(build_rook_grid_weights(6))
+    x, params, y, pattern, _ = random_instance(w, 31, missing=0.5)
+    sel = random_selection(w.n, 41, psi_y=-0.8)
+    y_o = y[pattern.observed_idx]
+    plan = GmrfPlan(w, pattern)
+    part = make_blocks(pattern, 4, seed=2)
+    for init in (None, np.zeros(pattern.n_u)):
+        if scheme == "nob":
+            got = mcmc_nob(params, sel, y_o, x, plan, 40, np.random.default_rng(9), init)
+            want = mcmc_nob_uncached(params, sel, y_o, x, plan, 40,
+                                     np.random.default_rng(9), init)
+        else:
+            got = mcmc_block(params, sel, y_o, part, x, plan, scheme, 40,
+                             np.random.default_rng(9), init, k_prime=2)
+            want = mcmc_block_uncached(params, sel, y_o, part, x, plan, scheme, 40,
+                                       np.random.default_rng(9), init, k_prime=2)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert 0.0 < np.nanmean(got[1]) < 1.0   # both branches were taken
