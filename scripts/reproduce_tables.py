@@ -29,9 +29,9 @@ def run_mar(side, iters, seed, out):
         run_dir = out / f"run_{method}"
         cfg = {"dataset": str(ds), "method": method, "iterations": iters,
                "p": 4, "seed": seed, "out": str(run_dir),
-               # the printed per-iteration redraw of y_u from its full
-               # conditional is O(n_u^3); warm starting makes HVB-G the
-               # tractable variant it is meant to be at this scale
+               # warm starting runs the Gibbs sweeps from the previous y_u,
+               # skipping the direct redraw from its full conditional (a
+               # banded GMRF factor) that otherwise starts every iteration
                "warm_start": method == "hvb-g"}
         (out / f"fit_{method}.json").write_text(json.dumps(cfg, indent=2))
         cli_main(["fit", "--config", str(out / f"fit_{method}.json")])

@@ -31,7 +31,7 @@ def run(side, missing, iters, seed, out):
         fit_cfg = {"dataset": str(ds), "method": method, "iterations": iters,
                    "p": 4, "seed": seed, "out": str(run_dir)}
         if method == "hvb-g":
-            fit_cfg["warm_start"] = True  # skip the O(n_u^3) per-iteration redraw
+            fit_cfg["warm_start"] = True  # skip the banded-factor redraw before Gibbs
         cfg_path = out / f"fit_{method}.json"
         cfg_path.write_text(json.dumps(fit_cfg, indent=2))
         cli_main(["fit", "--config", str(cfg_path)])

@@ -11,7 +11,7 @@ import concurrent.futures
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,17 +71,7 @@ class RunConfig:
         return RunConfig(priors=priors, hmc=hmc, **doc)
 
     def to_doc(self) -> dict:
-        return {"dataset": self.dataset, "method": self.method,
-                "iterations": self.iterations, "p": self.p, "n1": self.n1,
-                "block_size": self.block_size, "k_prime": self.k_prime,
-                "warm_start": self.warm_start,
-                "priors": {"var_beta": self.priors.var_beta,
-                           "var_gamma": self.priors.var_gamma,
-                           "var_rho_logit": self.priors.var_rho_logit,
-                           "var_psi": self.priors.var_psi},
-                "seed": self.seed, "out": self.out, "yu_window": self.yu_window,
-                "draws_per_iteration": self.draws_per_iteration,
-                "hmc": self.hmc, "replicates": self.replicates}
+        return asdict(self)
 
 
 def check_compatibility(method: str, mechanism: str) -> None:

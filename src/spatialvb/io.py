@@ -40,20 +40,22 @@ def write_weights(w: SpatialWeights, path) -> None:
             fh.write(f"{i} {j} {_fmt(v)}\n")
 
 
-def read_weights(path, row_normalized: bool | None = None) -> SpatialWeights:
+def read_weights(path, row_normalized: bool | None = None,
+                 n: int | None = None) -> SpatialWeights:
     """Read triplet text; tolerates a MatrixMarket header (1-based indices,
     size line). Entries present in only one triangle are mirrored.
 
-    If row_normalized is None it is detected from the row sums.
+    The unit count is the size line's, else ``n``, else the largest index
+    plus one; an index outside it is an error naming its line. If
+    row_normalized is None it is detected from the row sums.
     """
     text = Path(path).read_text()
     market = text.startswith("%%MatrixMarket")
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] not in "%#"]
-    n_declared = None
     if market and lines:
         parts = lines.pop(0).replace(",", " ").split()
-        n_declared = int(parts[0])
-        if int(parts[1]) != n_declared:
+        n = int(parts[0])
+        if int(parts[1]) != n:
             raise ValueError("weight matrix must be square")
     if not lines:
         raise ValueError(f"no weight entries found in {path}")
@@ -62,13 +64,19 @@ def read_weights(path, row_normalized: bool | None = None) -> SpatialWeights:
     bad = np.flatnonzero((width < 2) | (width > 3))
     if bad.size:
         raise ValueError(f"malformed triplet line: {lines[bad[0]]!r}")
+    rows = lines
     if (width == 2).any():   # an unweighted pair has weight 1
-        lines = [ln if w == 3 else ln + " 1" for ln, w in zip(lines, width)]
-    table = np.loadtxt(io.StringIO("\n".join(lines).replace(",", " ")),
+        rows = [ln if w == 3 else ln + " 1" for ln, w in zip(lines, width)]
+    table = np.loadtxt(io.StringIO("\n".join(rows).replace(",", " ")),
                        dtype=_TRIPLET, ndmin=1)
     base = 1 if market else 0
     i, j, v = table["i"] - base, table["j"] - base, table["v"]
     span = int(max(i.max(), j.max())) + 1
+    n = span if n is None else n
+    outside = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
+    if outside.size:
+        raise ValueError(f"weight entry {lines[outside[0]]!r} indexes a unit "
+                         f"outside the {n} units")
     key = i.astype(np.int64) * span + j
     # group equal keys in file order; a repeat conflicts if its value differs
     # from the first, so the error names the first offending line, as a
@@ -86,7 +94,6 @@ def read_weights(path, row_normalized: bool | None = None) -> SpatialWeights:
     keep = order[fresh]
     i, j, v = i[keep], j[keep], v[keep]
     lone = ~np.isin(j.astype(np.int64) * span + i, key)   # mirror these
-    n = n_declared if n_declared is not None else span
     m = sparse.csr_matrix((np.concatenate([v, v[lone]]),
                            (np.concatenate([i, j[lone]]), np.concatenate([j, i[lone]]))),
                           shape=(n, n))
@@ -244,7 +251,7 @@ def load_dataset(directory) -> Dataset:
     d = Path(directory)
     y, pattern = read_response(d / "y.csv")
     x = read_matrix(d / "X.csv")
-    weights = read_weights(d / "W.txt")
+    weights = read_weights(d / "W.txt", n=y.shape[0])
     x_star = read_matrix(d / "Xstar.csv") if (d / "Xstar.csv").exists() else None
     y_full = None
     if (d / "y_full.csv").exists():

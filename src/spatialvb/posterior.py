@@ -14,8 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .missing import MissingPattern, SelectionModel, SelectionTerms
-from .sem import RHO_MARGIN, PrecisionOps, SemParams, drho_dlogit, rho_from_logit
+from .sem import PrecisionOps, SemParams, drho_dlogit, rho_from_logit
 from .weights import SpatialWeights, row_sum_gap
+
+RHO_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,16 @@ class TargetDensity:
 
     Immutable after construction; evaluations may run concurrently and are
     deterministic functions of their inputs. The trace/log-determinant
-    backend is the precomputed spectrum of W up to ``exact_max_n`` units and
-    one complex-step sparse LU per evaluation above; both are exact.
+    backend is :class:`PrecisionOps`: the precomputed spectrum of W up to
+    2,500 units and one complex-step sparse LU per evaluation above; both
+    are exact.
     """
 
     def __init__(self, x: np.ndarray, weights: SpatialWeights,
                  y_obs: np.ndarray, pattern: MissingPattern,
                  priors: PriorSpec | None = None,
                  x_star: np.ndarray | None = None,
-                 mechanism: str = "mar",
-                 exact_max_n: int = 2500):
+                 mechanism: str = "mar"):
         if mechanism not in ("mar", "mnar"):
             raise ValueError(f"unknown mechanism {mechanism!r}")
         if mechanism == "mnar" and x_star is None:
@@ -82,7 +84,7 @@ class TargetDensity:
         # W^T is the CSC view that ``matrix.T`` returns, held so that each
         # evaluation builds no sparse matrix
         self._wt = weights.matrix.T
-        self.ops = PrecisionOps(weights, exact_max_n=exact_max_n)
+        self.ops = PrecisionOps(weights)
         # the spectrum of a row-normalised W lies in [-1, 1], so (-1, 1), the
         # image of rho = tanh(l / 2), is inside the admissible interval
         self.rho_bounds = (-1.0, 1.0)
@@ -154,6 +156,15 @@ class TargetDensity:
             sel = SelectionModel(psi_x=psi[:-1], psi_y=float(psi[-1]),
                                  x_star=self.x_star)
         return SemParams(beta=beta, sigma2_y=float(np.exp(gamma)), rho=rho), sel
+
+    def unconstrain(self, phi: SemParams, psi: np.ndarray | None = None) -> np.ndarray:
+        """theta at the SEM parameters ``phi`` and, under MNAR, the selection
+        coefficients ``psi``: the inverse of :meth:`model_params`."""
+        if not -1.0 < phi.rho < 1.0:
+            raise ValueError(f"rho={phi.rho} must lie strictly inside (-1, 1)")
+        lam = float(np.log1p(phi.rho) - np.log1p(-phi.rho))
+        parts = [phi.beta, [np.log(phi.sigma2_y), lam]]
+        return np.concatenate(parts if psi is None else [*parts, psi])
 
     def _prepare(self, theta: np.ndarray, y_u: np.ndarray) -> SimpleNamespace:
         beta, gamma, lam, rho, psi = self._split(theta)

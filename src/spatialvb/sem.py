@@ -16,9 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .weights import SpatialWeights, rho_interval, weight_eigenvalues
-
-RHO_MARGIN = 1e-8
+from .weights import SpatialWeights, weight_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -33,35 +31,6 @@ class SemParams:
         object.__setattr__(self, "beta", np.atleast_1d(np.asarray(self.beta, dtype=float)))
         if not self.sigma2_y > 0:
             raise ValueError(f"sigma2_y must be positive, got {self.sigma2_y}")
-
-    def validate_rho(self, w: SpatialWeights) -> None:
-        lo, hi = rho_interval(w)
-        if not (lo + RHO_MARGIN < self.rho < hi - RHO_MARGIN):
-            raise ValueError(f"rho={self.rho} outside admissible interval ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
-class UnconstrainedSemParams:
-    """(beta, gamma, rho_logit) with gamma = log sigma2 and
-    rho_logit = log(1+rho) - log(1-rho)."""
-
-    beta: np.ndarray
-    gamma: float
-    rho_logit: float
-
-
-def to_unconstrained(p: SemParams) -> UnconstrainedSemParams:
-    if not (-1.0 < p.rho < 1.0):
-        raise ValueError(f"rho={p.rho} must lie strictly inside (-1, 1)")
-    rho_logit = float(np.log1p(p.rho) - np.log1p(-p.rho))
-    return UnconstrainedSemParams(beta=p.beta.copy(), gamma=float(np.log(p.sigma2_y)),
-                                  rho_logit=rho_logit)
-
-
-def from_unconstrained(u: UnconstrainedSemParams) -> SemParams:
-    return SemParams(beta=np.asarray(u.beta, dtype=float).copy(),
-                     sigma2_y=float(np.exp(u.gamma)),
-                     rho=rho_from_logit(u.rho_logit))
 
 
 def rho_from_logit(rho_logit: float) -> float:
@@ -115,12 +84,6 @@ class PrecisionPattern:
     def matrix(self, rho: float) -> sparse.csr_matrix:
         p = self.pattern
         return sparse.csr_matrix((self.data(rho), p.indices, p.indptr), shape=p.shape)
-
-
-def precision_matrix(rho: float, w: SpatialWeights) -> sparse.csr_matrix:
-    """M_y = (I - rho W)^T (I - rho W), sparse symmetric positive definite,
-    on the fixed pattern of :class:`PrecisionPattern`."""
-    return PrecisionPattern(w).matrix(rho)
 
 
 def spatial_filter(rho: float | complex, w: SpatialWeights) -> sparse.csr_matrix:
@@ -196,7 +159,9 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
     """Gaussian log-likelihood of the full response vector.
 
     -(n/2) log(2 pi) - (n/2) log sigma2 + (1/2) log|M_y|
-    - (1/(2 sigma2)) r^T M_y r, with r = y - X beta.
+    - (1/(2 sigma2)) r^T M_y r, with r = y - X beta. Like
+    :class:`PrecisionPattern`, it refuses rho outside (-1, 1) and weights
+    that are not row-normalised.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -206,7 +171,10 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
     if x.shape[0] != n or x.shape[1] != params.beta.shape[0]:
         raise ValueError(f"design shape {x.shape} inconsistent with n={n}, "
                          f"len(beta)={params.beta.shape[0]}")
-    params.validate_rho(w)
+    if not w.row_normalized:
+        raise ValueError("the likelihood needs row-normalized weights")
+    if not -1.0 < params.rho < 1.0:
+        raise ValueError(f"rho={params.rho} outside admissible interval (-1, 1)")
     if ops is None:
         ops = PrecisionOps(w, exact_max_n=0)
     logdet = ops.logdet_m(params.rho)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -62,18 +62,8 @@ class SimConfig:
         return self.side * self.side
 
     def to_json(self) -> str:
-        mech: dict = {"kind": self.mechanism.kind}
-        if isinstance(self.mechanism, MarMechanism):
-            mech["missing_fraction"] = self.mechanism.missing_fraction
-        else:
-            mech.update(psi_0=self.mechanism.psi_0,
-                        psi_xstar=self.mechanism.psi_xstar,
-                        psi_y=self.mechanism.psi_y,
-                        covariate_index=self.mechanism.covariate_index)
-        doc = {"side": self.side, "r": self.r,
-               "beta_true": list(self.beta_true) if self.beta_true is not None else None,
-               "sigma2_true": self.sigma2_true, "rho_true": self.rho_true,
-               "mechanism": mech, "seed": self.seed}
+        doc = asdict(self)
+        doc["mechanism"] = {"kind": self.mechanism.kind, **doc["mechanism"]}
         return json.dumps(doc, indent=2)
 
     @staticmethod

@@ -18,6 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .samplers import (GmrfPlan, HmcConfig, McmcConfig, gibbs_sweep, hmc_run,
                        mar_conditional, mcmc_block, mcmc_nob, sample_conditional,
                        tune_step_size)
+from .sem import SemParams
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -28,10 +29,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 def structural_mask(dim: int, p: int) -> np.ndarray:
     """Boolean (dim, p) mask of free loading entries: the upper triangle of
     the leading p x p block is pinned to zero."""
-    mask = np.ones((dim, p), dtype=bool)
-    for i in range(min(dim, p)):
-        mask[i, i + 1:] = False
-    return mask
+    return np.tri(dim, p, dtype=bool)
 
 
 @dataclass
@@ -119,11 +117,6 @@ def log_q(vp: VParams, value: np.ndarray) -> float:
     dev = np.asarray(value, dtype=float) - vp.mu
     quad = float(dev @ woodbury_solve(vp.b, vp.d, dev))
     return -0.5 * (vp.dim * LOG_2PI + woodbury_logdet(vp.b, vp.d) + quad)
-
-
-def grad_log_q(vp: VParams, value: np.ndarray) -> np.ndarray:
-    dev = np.asarray(value, dtype=float) - vp.mu
-    return -woodbury_solve(vp.b, vp.d, dev)
 
 
 # -- single-draw gradient estimators -----------------------------------------
@@ -233,13 +226,10 @@ def default_init_theta(target) -> np.ndarray:
     dof = max(x_o.shape[0] - x_o.shape[1], 1)
     resid = y_o - x_o @ beta
     sigma2 = max(float(resid @ resid) / dof, 1e-8)
-    rho0 = 0.01
-    lam0 = float(np.log1p(rho0) - np.log1p(-rho0))
-    theta = np.concatenate([beta, [np.log(sigma2), lam0]])
+    psi = None
     if target.mechanism == "mnar":
-        n_psi = target.x_star.shape[1] + 1
-        theta = np.concatenate([theta, np.full(n_psi, 0.01)])
-    return theta
+        psi = np.full(target.x_star.shape[1] + 1, 0.01)
+    return target.unconstrain(SemParams(beta=beta, sigma2_y=sigma2, rho=0.01), psi)
 
 
 def draw_initial_yu(target, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:

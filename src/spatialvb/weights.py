@@ -92,9 +92,6 @@ def row_normalize(w: SpatialWeights) -> SpatialWeights:
     return SpatialWeights(matrix=(inv @ m).tocsr(), row_normalized=True)
 
 
-_DENSE_EIG_MAX_N = 2000
-
-
 def _spanning_forest(m: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(component label, parent, depth) of every unit in a breadth-first
     spanning forest of the graph of ``m``: one tree per connected component,
@@ -153,51 +150,19 @@ def _check_reversible(m: sparse.csr_matrix) -> None:
             "symmetric form")
 
 
-def _min_eigenvalue_power(m: sparse.csr_matrix, tol: float = 1e-8,
-                          max_iter: int = 10_000) -> float:
-    """Smallest eigenvalue of a row-normalized W via power iteration.
-
-    W is similar to a symmetric matrix, so its spectrum is real and lies in
-    [lam_min, 1]. Power iteration on I - W (spectrum in [0, 1 - lam_min])
-    converges to 1 - lam_min.
-    """
-    n = m.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    mu = 0.0
-    for _ in range(max_iter):
-        av = v - m @ v
-        norm = np.linalg.norm(av)
-        if norm == 0.0:
-            break
-        v_new = av / norm
-        mu_new = float(v_new @ (v_new - m @ v_new))
-        if abs(mu_new - mu) < tol:
-            mu = mu_new
-            break
-        mu, v = mu_new, v_new
-    else:
-        raise np.linalg.LinAlgError("power iteration did not converge")
-    return 1.0 - mu
-
-
 def rho_interval(w: SpatialWeights) -> tuple[float, float]:
     """Admissible interval (1/lam_min(W), 1) for the spatial parameter.
 
     lam_min = -1 exactly when a connected component is bipartite (+1 on one
     side and -1 on the other is then an eigenvector of the row-stochastic W).
-    Otherwise it is the least of :func:`weight_eigenvalues` up to 2,000 units
-    and a power-iteration estimate above.
+    Otherwise it is the least of :func:`weight_eigenvalues`.
     """
     if not w.row_normalized:
         raise ValueError("rho_interval requires a row-normalized weight matrix")
     if _has_bipartite_component(w.matrix):
         lam_min = -1.0
-    elif w.n <= _DENSE_EIG_MAX_N:
-        lam_min = float(weight_eigenvalues(w)[0])
     else:
-        lam_min = _min_eigenvalue_power(w.matrix)
+        lam_min = float(weight_eigenvalues(w)[0])
     if lam_min >= 0.0:
         return (-np.inf, 1.0)
     return (1.0 / lam_min, 1.0)

@@ -136,7 +136,6 @@ def _fd(f, x0, h=1e-5):
 
 
 def _oracle_instance(side, n_u, seed, mechanism):
-    from spatialvb.sem import to_unconstrained
     w = row_normalize(build_rook_grid_weights(side))
     rng = np.random.default_rng(seed)
     n = w.n
@@ -154,10 +153,7 @@ def _oracle_instance(side, n_u, seed, mechanism):
     target = TargetDensity(x=x, weights=w, y_obs=y[pattern.observed_idx],
                            pattern=pattern, mechanism=mechanism,
                            x_star=sel.x_star if sel else None)
-    u = to_unconstrained(params)
-    theta = np.concatenate([u.beta, [u.gamma, u.rho_logit]])
-    if mechanism == "mnar":
-        theta = np.concatenate([theta, sel.psi_x, [sel.psi_y]])
+    theta = target.unconstrain(params, sel.psi if sel else None)
     y_u = y[pattern.unobserved_idx] + 0.3 * rng.standard_normal(n_u)
     return target, theta, y_u
 

@@ -470,3 +470,41 @@ def test_cli_names_the_row_sum_gap_of_short_printed_weights(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "largest |row sum - 1| is 1e-06" in err
     assert "full precision" in err and "row_normalize" in err
+
+
+def _island_dataset(tmp_path):
+    """The 4 x 4 dataset with unit 15, the highest index, cut off from its
+    neighbours and the other rows renormalised: W.txt then holds no entry
+    that names unit 15."""
+    from scipy import sparse
+    from spatialvb import SpatialWeights
+    ds = make_dataset(tmp_path)
+    keep = sparse.diags((np.arange(16) != 15).astype(float))
+    m = (keep @ build_rook_grid_weights(4).matrix @ keep).tocsr()
+    m.eliminate_zeros()
+    sums = np.asarray(m.sum(axis=1)).ravel()
+    m = (sparse.diags(1.0 / np.maximum(sums, 1.0)) @ m).tocsr()
+    write_weights(SpatialWeights(matrix=m, row_normalized=True), ds / "W.txt")
+    return ds
+
+
+def test_cli_fit_keeps_an_island_at_the_highest_index(tmp_path):
+    ds = _island_dataset(tmp_path)
+    assert read_weights(ds / "W.txt").n == 15   # the file alone cannot tell
+    assert load_dataset(ds).weights.n == 16     # y.csv has 16 units
+    for method in ("jvb", "hvb-g"):
+        cfg = tmp_path / f"{method}.json"
+        cfg.write_text(json.dumps(run_config(ds, method, tmp_path / method,
+                                             iterations=10)))
+        assert main(["fit", "--config", str(cfg)]) == 0, method
+
+
+def test_cli_fit_names_a_weight_index_past_the_units(tmp_path, capsys):
+    ds = make_dataset(tmp_path)
+    with open(ds / "W.txt", "a") as fh:
+        fh.write("3 16 0.5\n")
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(run_config(ds, "jvb", tmp_path / "run", iterations=5)))
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert "weight entry '3 16 0.5' indexes a unit outside the 16 units" in \
+        capsys.readouterr().err

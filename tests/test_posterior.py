@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from spatialvb import (PriorSpec, SemParams, TargetDensity, sem_log_likelihood,
-                       to_unconstrained)
+from spatialvb import PriorSpec, SemParams, TargetDensity, sem_log_likelihood
 
 from conftest import random_instance, random_selection
 
@@ -14,10 +13,7 @@ def make_target(w, seed, mechanism="mar", priors=None, psi_y=-0.2):
     target = TargetDensity(x=x, weights=w, y_obs=y_obs, pattern=pattern,
                            priors=priors, mechanism=mechanism,
                            x_star=sel.x_star if sel else None)
-    u = to_unconstrained(params)
-    theta = np.concatenate([u.beta, [u.gamma, u.rho_logit]])
-    if mechanism == "mnar":
-        theta = np.concatenate([theta, sel.psi_x, [sel.psi_y]])
+    theta = target.unconstrain(params, sel.psi if sel else None)
     y_u = y[pattern.unobserved_idx] + rng.standard_normal(pattern.n_u) * 0.3
     return target, theta, y_u, (x, params, y, pattern, sel)
 
@@ -39,11 +35,11 @@ def test_mar_log_h_equals_loglik_plus_prior(grid4):
         target, theta, y_u, (x, params, y, pattern, _) = make_target(grid4, seed)
         yv = pattern.assemble(target.y_obs, y_u)
         ll = sem_log_likelihood(yv, params, x, grid4)
-        u = to_unconstrained(params)
+        gamma, rho_logit = theta[-2:]
         pr = target.priors
         prior = (-0.5 * float(params.beta @ params.beta) / pr.var_beta
-                 - 0.5 * u.gamma ** 2 / pr.var_gamma
-                 - 0.5 * u.rho_logit ** 2 / pr.var_rho_logit)
+                 - 0.5 * gamma ** 2 / pr.var_gamma
+                 - 0.5 * rho_logit ** 2 / pr.var_rho_logit)
         expected = ll + 0.5 * grid4.n * np.log(2 * np.pi) + prior
         assert target.log_h(theta, y_u) == pytest.approx(expected, abs=1e-10)
 
@@ -152,12 +148,11 @@ def test_beta_gradient_vanishes_at_gls_solution(grid4):
     flat_priors = PriorSpec(var_beta=1e12, var_gamma=1e12, var_rho_logit=1e12)
     target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
                            pattern=pattern, priors=flat_priors, mechanism="mar")
-    from spatialvb import precision_matrix
-    m = precision_matrix(params.rho, grid4).toarray()
+    from spatialvb.sem import PrecisionPattern
+    m = PrecisionPattern(grid4).matrix(params.rho).toarray()
     beta_gls = np.linalg.solve(x.T @ m @ x, x.T @ m @ y)
-    u = to_unconstrained(SemParams(beta=beta_gls, sigma2_y=params.sigma2_y,
-                                   rho=params.rho))
-    theta = np.concatenate([u.beta, [u.gamma, u.rho_logit]])
+    theta = target.unconstrain(SemParams(beta=beta_gls, sigma2_y=params.sigma2_y,
+                                         rho=params.rho))
     g = target.grad_log_h_theta(theta, y[pattern.unobserved_idx])
     np.testing.assert_allclose(g[:x.shape[1]], 0.0, atol=1e-8)
 
@@ -202,8 +197,7 @@ def test_degenerate_no_missing(grid3):
     pattern = MissingPattern(m=np.zeros(9, dtype=np.int8))
     target = TargetDensity(x=x, weights=grid3, y_obs=y, pattern=pattern,
                            mechanism="mar")
-    u = to_unconstrained(params)
-    theta = np.concatenate([u.beta, [u.gamma, u.rho_logit]])
+    theta = target.unconstrain(params)
     assert np.isfinite(target.log_h(theta, np.empty(0)))
     assert target.grad_log_h_yu(theta, np.empty(0)).size == 0
 
@@ -225,14 +219,15 @@ def test_priors_reject_nonpositive_variance():
 def test_lu_backend_path_through_fit(grid7):
     # force the large-n backend (complex-step sparse LU): a short HVB run on
     # the same data and seed matches the exact-spectrum backend to round-off
-    from spatialvb import McmcConfig
+    from spatialvb import McmcConfig, PrecisionOps
     from spatialvb.vb import default_init_theta, hvb_fit
     x, params, y, pattern, _ = random_instance(grid7, 40, missing=0.25)
     y_obs = y[pattern.observed_idx]
     exact = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
                           mechanism="mar")
     lu = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
-                       mechanism="mar", exact_max_n=1)
+                       mechanism="mar")
+    lu.ops = PrecisionOps(grid7, exact_max_n=1)
     assert lu.ops.eigenvalues is None
     theta0 = default_init_theta(exact)
     cfg = McmcConfig(scheme="direct", n1=1)
@@ -244,7 +239,7 @@ def test_lu_backend_path_through_fit(grid7):
 
 def test_lu_backend_evaluations_are_deterministic():
     from spatialvb import build_rook_grid_weights, row_normalize
-    w = row_normalize(build_rook_grid_weights(60))   # n = 3,600 > exact_max_n
+    w = row_normalize(build_rook_grid_weights(60))   # n = 3,600 > 2,500
     target, theta, y_u, _ = make_target(w, 8)
     assert target.ops.eigenvalues is None
     first = target.log_h_and_grads(theta, y_u)

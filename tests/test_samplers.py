@@ -4,7 +4,7 @@ import pytest
 from spatialvb import (GmrfPlan, HmcConfig, MissingPattern, SemParams,
                        build_rook_grid_weights, gibbs_sweep, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
-                       precision_matrix, row_normalize, sample_conditional)
+                       row_normalize, sample_conditional)
 from spatialvb.samplers import GmrfFactor, leapfrog
 from spatialvb.sem import PrecisionPattern
 
@@ -60,7 +60,7 @@ def test_gmrf_factor_reproduces_dense_block():
     w, sets = _factor_oracle_sets()
     prec = PrecisionPattern(w)
     for rho in (0.0, 0.7, -0.4):
-        dense = precision_matrix(rho, w).toarray()
+        dense = PrecisionPattern(w).matrix(rho).toarray()
         for name, idx in sets:
             factor = GmrfFactor(prec.pattern, idx)
             band = factor.cholesky(prec.data(rho), rho)
@@ -155,7 +155,7 @@ def test_conditional_single_missing_unit(grid3):
     pattern = MissingPattern(m=m)
     plan = GmrfPlan(grid3, pattern)
     cg = mar_conditional(params, y[pattern.observed_idx], x, plan)
-    m_y = precision_matrix(params.rho, grid3).toarray()
+    m_y = PrecisionPattern(grid3).matrix(params.rho).toarray()
     assert cg_covariance(cg)[0, 0] == pytest.approx(
         params.sigma2_y / m_y[4, 4], rel=1e-12)
 
@@ -480,12 +480,11 @@ def test_hmc_reproducible():
 
 def test_hmc_on_sem_target_runs(grid4):
     # smoke: joint (theta, y_u) target with gradients from the posterior module
-    from spatialvb import TargetDensity, to_unconstrained
+    from spatialvb import TargetDensity
     x, params, y, pattern, _ = random_instance(grid4, 30, missing=0.25)
     target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
                            pattern=pattern, mechanism="mar")
-    u = to_unconstrained(params)
-    theta0 = np.concatenate([u.beta, [u.gamma, u.rho_logit]])
+    theta0 = target.unconstrain(params)
     cfg = HmcConfig(n_samples=100, n_leapfrog=8, step_size=0.05, burn_in=50)
     res = hmc_run(target, cfg, (theta0, y[pattern.unobserved_idx]),
                   np.random.default_rng(4))

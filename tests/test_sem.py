@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import multivariate_normal
 
-from spatialvb import (SemParams, build_rook_grid_weights, from_unconstrained,
-                       precision_matrix, row_normalize, sem_log_likelihood,
-                       to_unconstrained)
-from spatialvb.sem import PrecisionOps, UnconstrainedSemParams
+from spatialvb import (MissingPattern, SemParams, TargetDensity,
+                       build_rook_grid_weights, row_normalize, sem_log_likelihood)
+from spatialvb.sem import PrecisionOps, PrecisionPattern
 from spatialvb.weights import SpatialWeights
 
 from conftest import dense_sem_cov, random_instance
@@ -20,12 +19,12 @@ def two_unit_weights():
 
 
 def test_precision_identity_at_rho_zero(grid3):
-    m = precision_matrix(0.0, grid3)
+    m = PrecisionPattern(grid3).matrix(0.0)
     np.testing.assert_allclose(m.toarray(), np.eye(9), atol=0)
 
 
 def test_precision_two_units_hand_value():
-    m = precision_matrix(0.5, two_unit_weights()).toarray()
+    m = PrecisionPattern(two_unit_weights()).matrix(0.5).toarray()
     np.testing.assert_allclose(m, [[1.25, -1.0], [-1.0, 1.25]], atol=1e-15)
 
 
@@ -33,7 +32,7 @@ def test_precision_matches_dense_formula(grid4):
     rng = np.random.default_rng(3)
     for _ in range(5):
         rho = float(rng.uniform(-0.9, 0.95))
-        m = precision_matrix(rho, grid4).toarray()
+        m = PrecisionPattern(grid4).matrix(rho).toarray()
         a = np.eye(16) - rho * grid4.matrix.toarray()
         np.testing.assert_allclose(m, a.T @ a, atol=1e-12)
 
@@ -44,7 +43,7 @@ def test_precision_pattern_fixed_across_rho():
     w = row_normalize(build_rook_grid_weights(6))
     dense_w = w.matrix.toarray()
     for rho in (0.0, 0.3, 0.8, -0.5):
-        m = precision_matrix(rho, w)
+        m = PrecisionPattern(w).matrix(rho)
         a = np.eye(36) - rho * dense_w
         np.testing.assert_allclose(m.toarray(), a.T @ a, atol=1e-12)
         assert m.nnz == 352
@@ -56,16 +55,16 @@ def test_precision_positive_definite_across_interval(grid4):
     lo, hi = rho_interval(grid4)
     for _ in range(100):
         rho = float(rng.uniform(lo + 1e-6, hi - 1e-6))
-        np.linalg.cholesky(precision_matrix(rho, grid4).toarray())
+        np.linalg.cholesky(PrecisionPattern(grid4).matrix(rho).toarray())
 
 
 def test_precision_rejects_rho_outside_interval(grid3):
     with pytest.raises(ValueError):
-        precision_matrix(1.5, grid3)
+        PrecisionPattern(grid3).matrix(1.5)
     with pytest.raises(ValueError, match="outside"):
-        precision_matrix(-1.0, grid3)
+        PrecisionPattern(grid3).matrix(-1.0)
     with pytest.raises(ValueError, match="row-normalized"):
-        precision_matrix(0.5, build_rook_grid_weights(3))
+        PrecisionPattern(build_rook_grid_weights(3)).matrix(0.5)
 
 
 def test_loglik_standard_normal_case(grid3):
@@ -99,12 +98,23 @@ def test_loglik_dimension_mismatch(grid3):
         sem_log_likelihood(np.zeros(8), p, np.ones((9, 2)), grid3)
 
 
+def test_loglik_refuses_rho_outside_unit_interval_and_raw_weights(grid4):
+    x, y = np.ones((16, 1)), np.zeros(16)
+    for rho in (1.0, -1.5):
+        p = SemParams(beta=np.zeros(1), sigma2_y=1.0, rho=rho)
+        with pytest.raises(ValueError, match=f"rho={rho} outside"):
+            sem_log_likelihood(y, p, x, grid4)
+    p = SemParams(beta=np.zeros(1), sigma2_y=1.0, rho=0.5)
+    with pytest.raises(ValueError, match="row-normalized"):
+        sem_log_likelihood(np.zeros(9), p, np.ones((9, 1)), build_rook_grid_weights(3))
+
+
 def test_sparse_logdet_matches_dense(grid7):
     ops = PrecisionOps(grid7)
     rng = np.random.default_rng(5)
     for _ in range(10):
         rho = float(rng.uniform(-0.9, 0.95))
-        dense = np.linalg.slogdet(precision_matrix(rho, grid7).toarray())[1]
+        dense = np.linalg.slogdet(PrecisionPattern(grid7).matrix(rho).toarray())[1]
         assert ops.logdet_m(rho) == pytest.approx(dense, abs=1e-9)
 
 
@@ -114,7 +124,7 @@ def test_sparse_logdet_matches_dense_at_n400():
     ops = PrecisionOps(w)
     ops_lu = PrecisionOps(w, exact_max_n=1)
     for rho in (-0.7, 0.2, 0.9):
-        dense = np.linalg.slogdet(precision_matrix(rho, w).toarray())[1]
+        dense = np.linalg.slogdet(PrecisionPattern(w).matrix(rho).toarray())[1]
         assert ops.logdet_m(rho) == pytest.approx(dense, abs=1e-9)
         assert ops_lu.logdet_m(rho) == pytest.approx(dense, abs=1e-9)
 
@@ -122,14 +132,14 @@ def test_sparse_logdet_matches_dense_at_n400():
 def test_logdet_splu_path_matches_dense(grid7):
     ops = PrecisionOps(grid7, exact_max_n=1)  # force the LU backend
     assert ops.eigenvalues is None
-    dense = np.linalg.slogdet(precision_matrix(0.7, grid7).toarray())[1]
+    dense = np.linalg.slogdet(PrecisionPattern(grid7).matrix(0.7).toarray())[1]
     assert ops.logdet_m(0.7) == pytest.approx(dense, abs=1e-9)
 
 
 def _dense_trace_oracle(w, rho):
     """tr{M_y^{-1} dM_y/drho} by dense solve."""
     wd = w.matrix.toarray()
-    m = precision_matrix(rho, w).toarray()
+    m = PrecisionPattern(w).matrix(rho).toarray()
     return np.trace(np.linalg.solve(m, -(wd.T + wd) + 2 * rho * wd.T @ wd))
 
 
@@ -146,7 +156,7 @@ def test_lu_backend_is_exact(side):
     w = row_normalize(build_rook_grid_weights(side))
     ops = PrecisionOps(w, exact_max_n=1)
     for rho in (-0.9, 0.01, 0.5, 0.99):
-        dense = np.linalg.slogdet(precision_matrix(rho, w).toarray())[1]
+        dense = np.linalg.slogdet(PrecisionPattern(w).matrix(rho).toarray())[1]
         pivots = ops.pivots(rho)
         assert ops.logdet_m(rho) == ops.logdet_m(rho, pivots)
         assert ops.logdet_m(rho, pivots) == pytest.approx(dense, abs=1e-9)
@@ -170,17 +180,25 @@ def test_lu_backend_refuses_rho_outside_unit_interval(grid4):
         ops.logdet_m(1.5)
 
 
+def _target(n_beta, x_star=None):
+    """A two-unit target with every response observed; only its theta
+    mapping is used."""
+    return TargetDensity(x=np.ones((2, n_beta)), weights=two_unit_weights(),
+                         y_obs=np.zeros(2), pattern=MissingPattern(m=np.zeros(2, dtype=np.int8)),
+                         x_star=x_star, mechanism="mar" if x_star is None else "mnar")
+
+
 def test_unconstrained_known_values():
-    p = SemParams(beta=np.array([1.0]), sigma2_y=1.0, rho=0.0)
-    u = to_unconstrained(p)
-    assert u.gamma == 0.0 and u.rho_logit == 0.0
-    u8 = to_unconstrained(SemParams(beta=np.array([1.0]), sigma2_y=1.0, rho=0.8))
-    assert u8.rho_logit == pytest.approx(np.log(9.0), abs=1e-12)
+    target = _target(1)
+    theta = target.unconstrain(SemParams(beta=np.array([1.0]), sigma2_y=1.0, rho=0.0))
+    assert theta[1] == 0.0 and theta[2] == 0.0
+    theta8 = target.unconstrain(SemParams(beta=np.array([1.0]), sigma2_y=1.0, rho=0.8))
+    assert theta8[2] == pytest.approx(np.log(9.0), abs=1e-12)
 
 
 def test_unconstrained_guards_boundary():
     with pytest.raises(ValueError):
-        to_unconstrained(SemParams(beta=np.array([0.0]), sigma2_y=1.0, rho=1.0))
+        _target(1).unconstrain(SemParams(beta=np.array([0.0]), sigma2_y=1.0, rho=1.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,19 +207,23 @@ def test_unconstrained_guards_boundary():
        st.floats(min_value=-5, max_value=5))
 def test_unconstrained_round_trip(gamma, rho, b):
     p = SemParams(beta=np.array([b]), sigma2_y=float(np.exp(gamma)), rho=rho)
-    back = from_unconstrained(to_unconstrained(p))
+    target = _target(1)
+    back, _ = target.model_params(target.unconstrain(p))
     assert back.sigma2_y == pytest.approx(p.sigma2_y, rel=1e-12)
     assert back.rho == pytest.approx(p.rho, abs=1e-12)
     np.testing.assert_allclose(back.beta, p.beta)
 
 
 def test_round_trip_unconstrained_to_constrained():
+    # under MNAR, so that psi makes the round trip too
+    target = _target(3, x_star=np.ones((2, 1)))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        u = UnconstrainedSemParams(beta=rng.standard_normal(3),
-                                   gamma=float(rng.normal()),
-                                   rho_logit=float(rng.normal(scale=2)))
-        back = to_unconstrained(from_unconstrained(u))
-        assert back.gamma == pytest.approx(u.gamma, abs=1e-12)
-        assert back.rho_logit == pytest.approx(u.rho_logit, abs=1e-10)
-
+        theta = np.concatenate([rng.standard_normal(3), [rng.normal()],
+                                [rng.normal(scale=2)], rng.standard_normal(2)])
+        phi, sel = target.model_params(theta)
+        back = target.unconstrain(phi, sel.psi)
+        np.testing.assert_array_equal(back[:3], theta[:3])
+        assert back[3] == pytest.approx(theta[3], abs=1e-12)
+        assert back[4] == pytest.approx(theta[4], abs=1e-10)
+        np.testing.assert_array_equal(back[5:], theta[5:])

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from spatialvb import (AdadeltaState, HmcConfig, McmcConfig, TargetDensity,
-                       VParams, adadelta_step,
-                       draw_variational, grad_log_q, hvb_fit,
+from spatialvb import (AdadeltaState, HmcConfig, McmcConfig, PrecisionOps,
+                       TargetDensity, VParams, adadelta_step,
+                       draw_variational, hvb_fit,
                        hvb_gradient_estimate, jvb_fit, jvb_gradient_estimate,
                        log_q, woodbury_logdet, woodbury_solve)
 from spatialvb.vb import (default_init_theta, hmc_fit, structural_mask,
@@ -32,6 +32,11 @@ def test_structural_mask_shape():
     mask = structural_mask(5, 3)
     assert not mask[0, 1] and not mask[0, 2] and not mask[1, 2]
     assert mask[1, 0] and mask[2, 2] and mask[4, 1]
+    for dim, p in ((5, 3), (4, 4), (6, 1), (2, 5)):
+        loop = np.ones((dim, p), dtype=bool)   # the row-by-row reference
+        for i in range(min(dim, p)):
+            loop[i, i + 1:] = False
+        np.testing.assert_array_equal(structural_mask(dim, p), loop)
 
 
 def test_vparams_rejects_mask_violation():
@@ -80,15 +85,6 @@ def test_log_q_at_mean_is_normalizer():
     vp = make_vp(5, 2, 5)
     expected = -2.5 * np.log(2 * np.pi) - 0.5 * np.linalg.slogdet(implied_cov(vp))[1]
     assert log_q(vp, vp.mu) == pytest.approx(expected, abs=1e-12)
-
-
-def test_grad_log_q_zero_at_mean_and_matches_dense():
-    vp = make_vp(5, 2, 6)
-    np.testing.assert_allclose(grad_log_q(vp, vp.mu), 0.0, atol=1e-14)
-    rng = np.random.default_rng(7)
-    v = vp.mu + rng.standard_normal(5)
-    oracle = -np.linalg.solve(implied_cov(vp), v - vp.mu)
-    np.testing.assert_allclose(grad_log_q(vp, v), oracle, atol=1e-10)
 
 
 def test_woodbury_diagonal_case():
@@ -461,8 +457,8 @@ def test_hmc_fit_on_lu_backend_matches_spectrum(grid4):
     results = []
     for exact_max_n in (1, 2500):
         target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
-                               pattern=pattern, mechanism="mar",
-                               exact_max_n=exact_max_n)
+                               pattern=pattern, mechanism="mar")
+        target.ops = PrecisionOps(grid4, exact_max_n=exact_max_n)
         results.append(hmc_fit(target, cfg, default_init_theta(target),
                                np.random.default_rng(5)))
     lu, spectrum = results

@@ -91,7 +91,7 @@ def test_rho_interval_requires_normalization():
 
 
 def test_rho_interval_bipartite_grid_is_exact_above_dense_cutoff():
-    # 60 x 60 rook grid: bipartite, n = 3,600 > 2,000 units
+    # 60 x 60 rook grid: bipartite, so -1 exactly and no eigensolve at n = 3,600
     lo, hi = rho_interval(row_normalize(build_rook_grid_weights(60)))
     assert lo == -1.0
     assert hi == 1.0
@@ -128,13 +128,6 @@ def test_weight_eigenvalues_reject_non_reversible_weights():
     w = row_normalize(SpatialWeights(matrix=sparse.csr_matrix(c)))
     with pytest.raises(ValueError, match=r"\(i, j\) = \(1, 2\)"):
         weight_eigenvalues(w)
-
-
-def test_power_iteration_agrees_with_dense():
-    from spatialvb.weights import _min_eigenvalue_power
-    w = row_normalize(build_rook_grid_weights(6))
-    dense_min = np.sort(np.linalg.eigvals(w.matrix.toarray()).real)[0]
-    assert _min_eigenvalue_power(w.matrix) == pytest.approx(dense_min, abs=1e-6)
 
 
 def test_weights_validation_catches_asymmetry():
