@@ -17,13 +17,19 @@ from pathlib import Path
 from spatialvb.cli import main as cli_main
 
 
+def cli(argv):
+    """Run one spatialvb command; a failed command stops the script."""
+    if cli_main(argv) != 0:
+        raise SystemExit(f"spatialvb {argv[0]} failed")
+
+
 def run_mar(side, iters, seed, out):
     out.mkdir(parents=True, exist_ok=True)
     sim = {"side": side, "r": 10, "sigma2_true": 1.0, "rho_true": 0.8,
            "mechanism": {"kind": "MAR", "missing_fraction": 0.75}, "seed": seed}
     (out / "sim.json").write_text(json.dumps(sim, indent=2))
     ds = out / "dataset"
-    cli_main(["simulate", "--config", str(out / "sim.json"), "--out", str(ds)])
+    cli(["simulate", "--config", str(out / "sim.json"), "--out", str(ds)])
     runs = []
     for method in ("jvb", "hvb-g"):
         run_dir = out / f"run_{method}"
@@ -34,11 +40,11 @@ def run_mar(side, iters, seed, out):
                # banded GMRF factor) that otherwise starts every iteration
                "warm_start": method == "hvb-g"}
         (out / f"fit_{method}.json").write_text(json.dumps(cfg, indent=2))
-        cli_main(["fit", "--config", str(out / f"fit_{method}.json")])
+        cli(["fit", "--config", str(out / f"fit_{method}.json")])
         runs.append(str(run_dir))
     (out / "compare.json").write_text(json.dumps({"runs": runs, "dataset": str(ds)}))
-    cli_main(["compare", "--config", str(out / "compare.json"),
-              "--out", str(out / "table")])
+    cli(["compare", "--config", str(out / "compare.json"),
+         "--out", str(out / "table")])
 
 
 def run_mnar(side, iters, seed, out):
@@ -48,7 +54,7 @@ def run_mnar(side, iters, seed, out):
                          "psi_y": -0.1, "covariate_index": 3}, "seed": seed}
     (out / "sim.json").write_text(json.dumps(sim, indent=2))
     ds = out / "dataset"
-    cli_main(["simulate", "--config", str(out / "sim.json"), "--out", str(ds)])
+    cli(["simulate", "--config", str(out / "sim.json"), "--out", str(ds)])
     runs = []
     for method in ("jvb", "hvb-allb", "hvb-3b"):
         run_dir = out / f"run_{method}"
@@ -56,11 +62,11 @@ def run_mnar(side, iters, seed, out):
                "p": 4, "seed": seed, "out": str(run_dir),
                "warm_start": method != "jvb"}
         (out / f"fit_{method}.json").write_text(json.dumps(cfg, indent=2))
-        cli_main(["fit", "--config", str(out / f"fit_{method}.json")])
+        cli(["fit", "--config", str(out / f"fit_{method}.json")])
         runs.append(str(run_dir))
     (out / "compare.json").write_text(json.dumps({"runs": runs, "dataset": str(ds)}))
-    cli_main(["compare", "--config", str(out / "compare.json"),
-              "--out", str(out / "table")])
+    cli(["compare", "--config", str(out / "compare.json"),
+         "--out", str(out / "table")])
 
 
 if __name__ == "__main__":

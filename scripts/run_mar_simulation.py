@@ -12,6 +12,12 @@ from pathlib import Path
 from spatialvb.cli import main as cli_main
 
 
+def cli(argv):
+    """Run one spatialvb command; a failed command stops the script."""
+    if cli_main(argv) != 0:
+        raise SystemExit(f"spatialvb {argv[0]} failed")
+
+
 def run(side, missing, iters, seed, out):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -21,7 +27,7 @@ def run(side, missing, iters, seed, out):
     sim_path = out / "sim.json"
     sim_path.write_text(json.dumps(sim_cfg, indent=2))
     ds = out / "dataset"
-    cli_main(["simulate", "--config", str(sim_path), "--out", str(ds)])
+    cli(["simulate", "--config", str(sim_path), "--out", str(ds)])
 
     n_u = round(side * side * missing)
     hvb_method = "hvb-g" if n_u > 1000 else "hvb-nob"
@@ -34,12 +40,12 @@ def run(side, missing, iters, seed, out):
             fit_cfg["warm_start"] = True  # skip the banded-factor redraw before Gibbs
         cfg_path = out / f"fit_{method}.json"
         cfg_path.write_text(json.dumps(fit_cfg, indent=2))
-        cli_main(["fit", "--config", str(cfg_path)])
+        cli(["fit", "--config", str(cfg_path)])
         runs.append(str(run_dir))
 
     cmp_cfg = out / "compare.json"
     cmp_cfg.write_text(json.dumps({"runs": runs, "dataset": str(ds)}))
-    cli_main(["compare", "--config", str(cmp_cfg), "--out", str(out / "compare")])
+    cli(["compare", "--config", str(cmp_cfg), "--out", str(out / "compare")])
 
 
 if __name__ == "__main__":

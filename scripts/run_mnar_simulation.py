@@ -12,6 +12,12 @@ from pathlib import Path
 from spatialvb.cli import main as cli_main
 
 
+def cli(argv):
+    """Run one spatialvb command; a failed command stops the script."""
+    if cli_main(argv) != 0:
+        raise SystemExit(f"spatialvb {argv[0]} failed")
+
+
 def run(side, psi_0, psi_xstar, psi_y, iters, seed, out, methods):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -23,7 +29,7 @@ def run(side, psi_0, psi_xstar, psi_y, iters, seed, out, methods):
     sim_path = out / "sim.json"
     sim_path.write_text(json.dumps(sim_cfg, indent=2))
     ds = out / "dataset"
-    cli_main(["simulate", "--config", str(sim_path), "--out", str(ds)])
+    cli(["simulate", "--config", str(sim_path), "--out", str(ds)])
 
     runs = []
     for method in methods:
@@ -32,12 +38,12 @@ def run(side, psi_0, psi_xstar, psi_y, iters, seed, out, methods):
                    "p": 4, "seed": seed, "out": str(run_dir)}
         cfg_path = out / f"fit_{method}.json"
         cfg_path.write_text(json.dumps(fit_cfg, indent=2))
-        cli_main(["fit", "--config", str(cfg_path)])
+        cli(["fit", "--config", str(cfg_path)])
         runs.append(str(run_dir))
 
     cmp_cfg = out / "compare.json"
     cmp_cfg.write_text(json.dumps({"runs": runs, "dataset": str(ds)}))
-    cli_main(["compare", "--config", str(cmp_cfg), "--out", str(out / "compare")])
+    cli(["compare", "--config", str(cmp_cfg), "--out", str(out / "compare")])
 
 
 if __name__ == "__main__":

@@ -11,14 +11,15 @@ import concurrent.futures
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .io import (Dataset, load_dataset, read_fit_summary, read_missing_posterior,
-                 read_response, write_dataset, write_fit_result)
+from .io import (Dataset, check_keys, load_dataset, read_fit_summary,
+                 read_missing_posterior, read_response, write_dataset,
+                 write_fit_result)
 from .missing import default_block_size, make_blocks
 from .posterior import PriorSpec, TargetDensity
 from .samplers import HmcConfig, McmcConfig
@@ -54,7 +55,6 @@ class RunConfig:
     seed: int = 1
     out: str | None = None
     yu_window: float = 0.2
-    draws_per_iteration: int = 1
     hmc: dict = field(default_factory=lambda: dict(_HMC_DEFAULTS))
     replicates: list | None = None
 
@@ -64,11 +64,15 @@ class RunConfig:
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
-        doc = json.loads(text)
-        priors = PriorSpec.from_dict(doc.pop("priors", {}) or {})
-        hmc = dict(_HMC_DEFAULTS)
-        hmc.update(doc.pop("hmc", {}) or {})
-        return RunConfig(priors=priors, hmc=hmc, **doc)
+        """Parse a run config; an unknown key, at the top or in ``priors`` or
+        ``hmc``, or a missing ``dataset`` or ``method`` is a ValueError."""
+        doc = check_keys(json.loads(text), "run config",
+                         {f.name for f in fields(RunConfig)}, ("dataset", "method"))
+        priors = check_keys(doc.pop("priors", None) or {}, "run config priors",
+                            {f.name for f in fields(PriorSpec)})
+        hmc = check_keys(doc.pop("hmc", None) or {}, "run config hmc", _HMC_DEFAULTS)
+        return RunConfig(priors=PriorSpec(**{k: float(v) for k, v in priors.items()}),
+                         hmc={**_HMC_DEFAULTS, **hmc}, **doc)
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -117,8 +121,7 @@ def run_fit(cfg: RunConfig, out_dir: str | Path):
     if cfg.method == "jvb":
         yu0 = draw_initial_yu(target, theta0, rng)
         init = np.concatenate([theta0, yu0])
-        res = jvb_fit(target, init, cfg.iterations, cfg.p, rng, seed=cfg.seed,
-                      n_draws_per_iter=cfg.draws_per_iteration)
+        res = jvb_fit(target, init, cfg.iterations, cfg.p, rng, seed=cfg.seed)
     elif cfg.method == "hmc":
         hmc_cfg = HmcConfig(n_samples=int(cfg.hmc["n_samples"]),
                             n_leapfrog=int(cfg.hmc["n_leapfrog"]),
@@ -129,8 +132,7 @@ def run_fit(cfg: RunConfig, out_dir: str | Path):
         sampler_cfg = sampler_config_for(cfg.method, mechanism, cfg, target)
         res = hvb_fit(target, theta0, cfg.iterations, cfg.p, sampler_cfg, rng,
                       yu_window=cfg.yu_window, seed=cfg.seed,
-                      method_tag=cfg.method,
-                      n_draws_per_iter=cfg.draws_per_iteration)
+                      method_tag=cfg.method)
     write_fit_result(res, out_dir, __version__,
                      dataset_digest_value=dataset.digest,
                      config_doc=cfg.to_doc(),

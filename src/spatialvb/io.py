@@ -29,6 +29,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def check_keys(doc, where: str, known, required=()) -> dict:
+    """``doc`` if it is a JSON object with no key outside ``known`` and every
+    key of ``required``; otherwise a ValueError naming the offending key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r} "
+                             f"(known: {', '.join(sorted(known))})")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where}: missing required key {key!r}")
+    return doc
+
+
 # -- weight matrices ----------------------------------------------------------
 
 
@@ -40,14 +55,13 @@ def write_weights(w: SpatialWeights, path) -> None:
             fh.write(f"{i} {j} {_fmt(v)}\n")
 
 
-def read_weights(path, row_normalized: bool | None = None,
-                 n: int | None = None) -> SpatialWeights:
+def read_weights(path, n: int | None = None) -> SpatialWeights:
     """Read triplet text; tolerates a MatrixMarket header (1-based indices,
     size line). Entries present in only one triangle are mirrored.
 
     The unit count is the size line's, else ``n``, else the largest index
-    plus one; an index outside it is an error naming its line. If
-    row_normalized is None it is detected from the row sums.
+    plus one; an index outside it is an error naming its line. Whether the
+    weights are row-normalised is detected from the row sums.
     """
     text = Path(path).read_text()
     market = text.startswith("%%MatrixMarket")
@@ -97,9 +111,7 @@ def read_weights(path, row_normalized: bool | None = None,
     m = sparse.csr_matrix((np.concatenate([v, v[lone]]),
                            (np.concatenate([i, j[lone]]), np.concatenate([j, i[lone]]))),
                           shape=(n, n))
-    if row_normalized is None:
-        row_normalized = row_sum_gap(m) <= ROW_SUM_ATOL
-    return SpatialWeights(matrix=m, row_normalized=row_normalized)
+    return SpatialWeights(matrix=m, row_normalized=row_sum_gap(m) <= ROW_SUM_ATOL)
 
 
 # -- delimited data -----------------------------------------------------------
@@ -179,14 +191,22 @@ def write_pattern(pattern: MissingPattern, path) -> None:
 
 
 def read_pattern(path) -> MissingPattern:
+    """Rows `index,m` in any order; each of the indices 0..rows-1 must
+    appear once, and an index that does not is an error naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        pairs = [(int(r[0]), int(r[1])) for r in reader if r]
-    m = np.zeros(len(pairs), dtype=np.int8)
-    for i, v in pairs:
+        rows = [(reader.line_num, r) for r in reader if r]
+    m = [None] * len(rows)
+    for line, r in rows:
+        i, v = map(int, r)
+        if not 0 <= i < len(m):
+            raise ValueError(f"{path}, line {line}: index {i} is outside the "
+                             f"{len(m)} units")
+        if m[i] is not None:
+            raise ValueError(f"{path}, line {line}: index {i} repeats")
         m[i] = v
-    return MissingPattern(m=m)
+    return MissingPattern(m=np.array(m, dtype=np.int8))
 
 
 # -- dataset bundles ----------------------------------------------------------
@@ -284,9 +304,8 @@ def _trace_csv(path, header: list, rows) -> None:
 
 
 def write_fit_result(res: FitResult, out_dir, version: str,
-                     dataset_digest_value: str | None = None,
-                     config_doc: dict | None = None,
-                     unconstrained_names: list | None = None) -> None:
+                     dataset_digest_value: str, config_doc: dict,
+                     unconstrained_names: list) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -303,23 +322,22 @@ def write_fit_result(res: FitResult, out_dir, version: str,
     _trace_csv(out / "elbo_trace.csv", ["iteration", "value"],
                ((t, _fmt(v) if np.isfinite(v) else NA_TOKEN)
                 for t, v in enumerate(res.elbo_trace)))
-    names = unconstrained_names or res.theta_names
-    _trace_csv(out / "mean_trajectory.csv", ["iteration"] + list(names),
+    names = list(unconstrained_names)
+    _trace_csv(out / "mean_trajectory.csv", ["iteration"] + names,
                ((t, *(_fmt(v) for v in row))
                 for t, row in enumerate(res.mean_trajectory)))
     _trace_csv(out / "missing_posterior.csv", ["index", "mean", "sd"],
                ((int(i), _fmt(m), _fmt(s) if np.isfinite(s) else NA_TOKEN)
                 for i, m, s in zip(res.yu_index, res.yu_mean, res.yu_sd)))
     if res.chain is not None:
-        chain_names = list(names) + [f"yu{int(i)}" for i in res.yu_index]
+        chain_names = names + [f"yu{int(i)}" for i in res.yu_index]
         _trace_csv(out / "chain.csv", chain_names,
                    ((_fmt(v) for v in row) for row in res.chain))
     manifest = {"kind": "fit", "method": res.method, "seed": res.seed,
-                "version": version, "dataset_digest": dataset_digest_value}
-    if config_doc is not None:
-        manifest["config_sha256"] = hashlib.sha256(
-            json.dumps(config_doc, sort_keys=True).encode()).hexdigest()
-        (out / "run_config.json").write_text(json.dumps(config_doc, indent=2))
+                "version": version, "dataset_digest": dataset_digest_value,
+                "config_sha256": hashlib.sha256(
+                    json.dumps(config_doc, sort_keys=True).encode()).hexdigest()}
+    (out / "run_config.json").write_text(json.dumps(config_doc, indent=2))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 

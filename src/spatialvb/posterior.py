@@ -34,10 +34,6 @@ class PriorSpec:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "PriorSpec":
-        return PriorSpec(**{k: float(v) for k, v in doc.items()})
-
 
 class TargetDensity:
     """log h(theta, y_u) for the spatial error model under MAR or MNAR.
@@ -85,9 +81,6 @@ class TargetDensity:
         # evaluation builds no sparse matrix
         self._wt = weights.matrix.T
         self.ops = PrecisionOps(weights)
-        # the spectrum of a row-normalised W lies in [-1, 1], so (-1, 1), the
-        # image of rho = tanh(l / 2), is inside the admissible interval
-        self.rho_bounds = (-1.0, 1.0)
         self.n_beta = self.x.shape[1]
         self._i_gamma = self.n_beta
         self._i_lambda = self.n_beta + 1
@@ -140,9 +133,10 @@ class TargetDensity:
         gamma = float(theta[self._i_gamma])
         lam = float(theta[self._i_lambda])
         rho = rho_from_logit(lam)
-        lo, hi = self.rho_bounds
-        if not (lo + RHO_MARGIN < rho < hi - RHO_MARGIN):
-            raise ValueError(f"rho={rho} outside admissible interval ({lo}, {hi})")
+        # the spectrum of a row-normalised W lies in [-1, 1], so (-1, 1), the
+        # image of rho = tanh(l / 2), is inside the admissible interval
+        if not (-1.0 + RHO_MARGIN < rho < 1.0 - RHO_MARGIN):
+            raise ValueError(f"rho={rho} outside admissible interval (-1.0, 1.0)")
         psi = theta[self.n_beta + 2:] if self.mechanism == "mnar" else None
         return beta, gamma, lam, rho, psi
 

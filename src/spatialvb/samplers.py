@@ -8,7 +8,7 @@ Every conditional draw of y_u or of one of its blocks takes the fit's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -347,24 +347,18 @@ class McmcConfig:
 
 @dataclass
 class HmcConfig:
-    """Fixed-step leapfrog HMC settings. mass_diag is the diagonal of R."""
+    """Fixed-step leapfrog HMC settings; the mass matrix is the identity."""
 
     n_samples: int
     n_leapfrog: int
     step_size: float
     burn_in: int = 0
-    mass_diag: np.ndarray | None = None
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.n_leapfrog < 1:
             raise ValueError("n_leapfrog must be at least 1")
-        if self.mass_diag is not None:
-            md = np.asarray(self.mass_diag, dtype=float)
-            if (md <= 0).any():
-                raise ValueError("mass_diag must be positive")
-            self.mass_diag = md
 
 
 @dataclass
@@ -372,8 +366,7 @@ class HmcResult:
     chain: np.ndarray          # (n_samples, S + n_u) retained draws
     accept_rate: float
     divergences: int
-    step_size: float
-    log_h_trace: np.ndarray = field(default=None)
+    log_h_trace: np.ndarray
 
 
 def _joint_logh_grad(target, chi: np.ndarray):
@@ -391,10 +384,10 @@ def _joint_logh_grad(target, chi: np.ndarray):
 
 
 def leapfrog(target, chi: np.ndarray, s: np.ndarray, grad: np.ndarray, eps: float,
-             n_steps: int, inv_mass: np.ndarray | float = 1.0):
-    """``n_steps`` leapfrog steps for the potential U = -log h from (chi, s),
-    with ``grad`` the gradient of log h at chi; half-steps of the momentum
-    between full steps are merged.
+             n_steps: int):
+    """``n_steps`` leapfrog steps for the potential U = -log h and unit mass
+    from (chi, s), with ``grad`` the gradient of log h at chi; half-steps of
+    the momentum between full steps are merged.
 
     Returns (chi', s', log h(chi'), grad'), one gradient evaluation per step.
     At the first point whose log h is not finite the trajectory stops and
@@ -402,7 +395,7 @@ def leapfrog(target, chi: np.ndarray, s: np.ndarray, grad: np.ndarray, eps: floa
     """
     s = s + 0.5 * eps * grad
     for step in range(n_steps):
-        chi = chi + eps * inv_mass * s
+        chi = chi + eps * s
         logh, grad = _joint_logh_grad(target, chi)
         if not np.isfinite(logh):
             return chi, s, logh, grad
@@ -415,16 +408,13 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
             rng: np.random.Generator) -> HmcResult:
     """HMC with L leapfrog steps per iteration over chi = (theta, y_u).
 
-    Potential U = -log h; momenta refresh from N(0, R). A proposal is
+    Potential U = -log h; momenta refresh from N(0, I). A proposal is
     accepted with probability min(1, exp(H - H*)); a trajectory that meets a
     non-finite log h counts as a divergence and is rejected.
     """
     theta0, y_u0 = init
     chi = np.concatenate([np.asarray(theta0, float), np.asarray(y_u0, float)])
     dim = chi.shape[0]
-    mass = cfg.mass_diag if cfg.mass_diag is not None else np.ones(dim)
-    inv_mass = 1.0 / mass
-    eps = cfg.step_size
     logh, grad = _joint_logh_grad(target, chi)
     if not np.isfinite(logh):
         raise ValueError("HMC initial point has non-finite log h")
@@ -434,12 +424,12 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
     accepted = 0
     divergences = 0
     for it in range(total):
-        s = rng.standard_normal(dim) * np.sqrt(mass)
-        ham0 = -logh + 0.5 * float(s @ (inv_mass * s))
-        chi_new, s_new, logh_new, grad_new = leapfrog(target, chi, s, grad, eps,
-                                                      cfg.n_leapfrog, inv_mass)
+        s = rng.standard_normal(dim)
+        ham0 = -logh + 0.5 * float(s @ s)
+        chi_new, s_new, logh_new, grad_new = leapfrog(
+            target, chi, s, grad, cfg.step_size, cfg.n_leapfrog)
         if np.isfinite(logh_new):
-            ham1 = -logh_new + 0.5 * float(s_new @ (inv_mass * s_new))
+            ham1 = -logh_new + 0.5 * float(s_new @ s_new)
             if np.isfinite(ham1) and np.log(rng.random()) < ham0 - ham1:
                 chi, grad, logh = chi_new, grad_new, logh_new
                 accepted += 1
@@ -449,21 +439,17 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
             chain[it - cfg.burn_in] = chi
             logh_trace[it - cfg.burn_in] = logh
     return HmcResult(chain=chain, accept_rate=accepted / total,
-                     divergences=divergences, step_size=eps,
-                     log_h_trace=logh_trace)
+                     divergences=divergences, log_h_trace=logh_trace)
 
 
-def tune_step_size(target, cfg: HmcConfig, init, rng: np.random.Generator,
-                   pilot_iters: int = 200, accept_range=(0.6, 0.9),
-                   max_halvings: int = 20) -> float:
-    """Halve the step size until a short pilot run lands the acceptance rate
-    at or above the target window."""
+def tune_step_size(target, cfg: HmcConfig, init, rng: np.random.Generator) -> float:
+    """Halve ``cfg.step_size`` until a 200-iteration pilot run from ``init``
+    accepts at least 60% of its proposals, at most 20 times."""
     eps = cfg.step_size
-    for _ in range(max_halvings):
-        pilot = HmcConfig(n_samples=pilot_iters, n_leapfrog=cfg.n_leapfrog,
-                          step_size=eps, burn_in=0, mass_diag=cfg.mass_diag)
+    for _ in range(20):
+        pilot = HmcConfig(n_samples=200, n_leapfrog=cfg.n_leapfrog, step_size=eps)
         res = hmc_run(target, pilot, init, rng)
-        if res.accept_rate >= accept_range[0]:
+        if res.accept_rate >= 0.6:
             return eps
         eps *= 0.5
     return eps

@@ -154,8 +154,7 @@ class PrecisionOps:
 
 
 def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
-                       w: SpatialWeights,
-                       ops: PrecisionOps | None = None) -> float:
+                       w: SpatialWeights) -> float:
     """Gaussian log-likelihood of the full response vector.
 
     -(n/2) log(2 pi) - (n/2) log sigma2 + (1/2) log|M_y|
@@ -175,9 +174,7 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
         raise ValueError("the likelihood needs row-normalized weights")
     if not -1.0 < params.rho < 1.0:
         raise ValueError(f"rho={params.rho} outside admissible interval (-1, 1)")
-    if ops is None:
-        ops = PrecisionOps(w, exact_max_n=0)
-    logdet = ops.logdet_m(params.rho)
+    logdet = PrecisionOps(w, exact_max_n=0).logdet_m(params.rho)
     r = y - x @ params.beta
     ar = r - params.rho * (w.matrix @ r)
     quad = float(ar @ ar)  # r^T A^T A r

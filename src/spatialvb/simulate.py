@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from .io import check_keys
 from .missing import MissingPattern, SelectionModel, generate_mar, generate_mnar
 from .sem import SemParams, spatial_filter
 from .weights import SpatialWeights, build_rook_grid_weights, row_normalize
@@ -28,6 +29,12 @@ class MnarMechanism:
     covariate_index: int  # 1-based position among the r covariates
 
     kind = "MNAR"
+
+
+# the fields of each mechanism kind in a sim config, and how each is read
+_MECHANISMS = {"MAR": {"missing_fraction": float},
+               "MNAR": {"psi_0": float, "psi_xstar": float, "psi_y": float,
+                        "covariate_index": int}}
 
 
 @dataclass(frozen=True)
@@ -68,18 +75,21 @@ class SimConfig:
 
     @staticmethod
     def from_json(text: str) -> "SimConfig":
-        doc = json.loads(text)
-        mech_doc = doc["mechanism"]
-        kind = mech_doc["kind"].upper()
-        if kind == "MAR":
-            mech = MarMechanism(missing_fraction=float(mech_doc["missing_fraction"]))
-        elif kind == "MNAR":
-            mech = MnarMechanism(psi_0=float(mech_doc["psi_0"]),
-                                 psi_xstar=float(mech_doc["psi_xstar"]),
-                                 psi_y=float(mech_doc["psi_y"]),
-                                 covariate_index=int(mech_doc["covariate_index"]))
-        else:
+        """Parse a sim config; an unknown key, at the top or in
+        ``mechanism``, or a missing ``side``, ``mechanism`` or mechanism
+        field is a ValueError."""
+        doc = check_keys(json.loads(text), "sim config",
+                         {f.name for f in fields(SimConfig)}, ("side", "mechanism"))
+        mech_doc = check_keys(doc["mechanism"], "sim config mechanism",
+                              {"kind", *_MECHANISMS["MAR"], *_MECHANISMS["MNAR"]},
+                              ("kind",))
+        kind = str(mech_doc["kind"]).upper()
+        if kind not in _MECHANISMS:
             raise ValueError(f"unknown mechanism kind {mech_doc['kind']!r}")
+        readers = _MECHANISMS[kind]
+        check_keys(mech_doc, f"sim config mechanism {kind}", {"kind", *readers}, readers)
+        args = {key: read(mech_doc[key]) for key, read in readers.items()}
+        mech = MarMechanism(**args) if kind == "MAR" else MnarMechanism(**args)
         beta = doc.get("beta_true")
         return SimConfig(side=int(doc["side"]), r=int(doc.get("r", 10)),
                          beta_true=tuple(beta) if beta is not None else None,

@@ -10,7 +10,7 @@ Metropolis, depending on mechanism and scale).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,6 +21,9 @@ from .samplers import (GmrfPlan, HmcConfig, McmcConfig, gibbs_sweep, hmc_run,
 from .sem import SemParams
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_UPSILON, _ALPHA = 0.95, 1e-6   # ADADELTA decay rate and conditioning constant
+_CLIP = 1e4                     # bound on each gradient coordinate of a step
+_SUMMARY_DRAWS = 10_000         # draws of q behind the theta summaries
 
 
 # -- variational family ------------------------------------------------------
@@ -68,12 +71,12 @@ class VParams:
         return np.sqrt(np.sum(self.b ** 2, axis=1) + self.d ** 2)
 
     @staticmethod
-    def initial(mu: np.ndarray, p: int, b_scale: float = 0.01,
-                d_scale: float = 0.1) -> "VParams":
+    def initial(mu: np.ndarray, p: int) -> "VParams":
+        """Mean ``mu``, every free loading 0.01 and every d_i 0.1."""
         mu = np.asarray(mu, dtype=float)
         dim = mu.shape[0]
-        b = np.full((dim, p), b_scale) * structural_mask(dim, p)
-        return VParams(mu=mu.copy(), b=b, d=np.full(dim, d_scale))
+        b = np.full((dim, p), 0.01) * structural_mask(dim, p)
+        return VParams(mu=mu.copy(), b=b, d=np.full(dim, 0.1))
 
 
 @dataclass(frozen=True)
@@ -169,25 +172,21 @@ class AdadeltaState:
 
     e_grad2: np.ndarray
     e_delta2: np.ndarray
-    upsilon: float = 0.95
-    alpha: float = 1e-6
 
     @staticmethod
-    def zeros(shape, upsilon: float = 0.95, alpha: float = 1e-6) -> "AdadeltaState":
-        return AdadeltaState(e_grad2=np.zeros(shape), e_delta2=np.zeros(shape),
-                             upsilon=upsilon, alpha=alpha)
+    def zeros(shape) -> "AdadeltaState":
+        return AdadeltaState(e_grad2=np.zeros(shape), e_delta2=np.zeros(shape))
 
 
 def adadelta_step(state: AdadeltaState, grad: np.ndarray):
     """Per-coordinate step delta = a o grad with
-    a = sqrt((E[delta^2] + alpha) / (E[g^2] + alpha)); returns (delta, state')."""
-    ups = state.upsilon
-    e_grad2 = ups * state.e_grad2 + (1.0 - ups) * grad ** 2
-    rate = np.sqrt((state.e_delta2 + state.alpha) / (e_grad2 + state.alpha))
+    a = sqrt((E[delta^2] + alpha) / (E[g^2] + alpha)), decay upsilon = 0.95
+    and alpha = 1e-6; returns (delta, state')."""
+    e_grad2 = _UPSILON * state.e_grad2 + (1.0 - _UPSILON) * grad ** 2
+    rate = np.sqrt((state.e_delta2 + _ALPHA) / (e_grad2 + _ALPHA))
     delta = rate * grad
-    e_delta2 = ups * state.e_delta2 + (1.0 - ups) * delta ** 2
-    return delta, AdadeltaState(e_grad2=e_grad2, e_delta2=e_delta2,
-                                upsilon=ups, alpha=state.alpha)
+    e_delta2 = _UPSILON * state.e_delta2 + (1.0 - _UPSILON) * delta ** 2
+    return delta, AdadeltaState(e_grad2=e_grad2, e_delta2=e_delta2)
 
 
 # -- fit results --------------------------------------------------------------
@@ -242,41 +241,35 @@ def draw_initial_yu(target, theta: np.ndarray, rng: np.random.Generator) -> np.n
     return sample_conditional(mar_conditional(phi, target.y_obs, target.x, plan), rng)
 
 
-def _theta_summaries(target, vp: VParams, s: int, rng, n_draws: int):
+def _theta_summaries(target, vp: VParams, s: int, rng):
     """Constrained-space mean and sd of theta under q: draws of the first s
     coordinates only, whose marginal is N(mu[:s], B[:s] B[:s]^T + D[:s]^2)."""
-    etas = rng.standard_normal((n_draws, vp.p))
-    epss = rng.standard_normal((n_draws, s))
+    etas = rng.standard_normal((_SUMMARY_DRAWS, vp.p))
+    epss = rng.standard_normal((_SUMMARY_DRAWS, s))
     values = vp.mu[:s] + etas @ vp.b[:s].T + epss * vp.d[:s]
     cons = target.constrain(values)
     return cons.mean(axis=0), cons.std(axis=0, ddof=1)
 
 
-def _smooth_warning(acc_history: list, threshold: float = 0.05) -> str | None:
+def _smooth_warning(acc_history: list) -> str | None:
     if len(acc_history) < 200:
         return None
     tail = np.asarray(acc_history[-200:], dtype=float)
     tail = tail[np.isfinite(tail)]
-    if tail.size and np.all(tail < threshold):
+    if tail.size and np.all(tail < 0.05):
         return ("MCMC acceptance persistently below 5%; the tuning guidance "
                 "targets 20-30% (adjust block size / N1)")
     return None
 
 
-_CLIP = 1e4
-_SUMMARY_DRAWS = 10_000
-
-
-def _sga(vp: VParams, estimate, iters: int, s: int, n_draws: int, clip: float,
-         on_step=None):
+def _sga(vp: VParams, estimate, iters: int, s: int, on_step=None):
     """Stochastic-gradient ascent of ``vp`` with ADADELTA learning rates.
 
-    Each iteration averages ``n_draws`` calls of ``estimate(vp)``, each
-    returning (grad_mu, grad_b, grad_d, elbo_sample, aux), clips the mean
-    gradient at +-``clip`` and steps. An iteration whose estimate raises
-    ValueError/LinAlgError or is non-finite is skipped: no step, NaN in the
-    ELBO trace. After every step ``on_step(t, auxes)`` receives the aux
-    values of that iteration's draws. Returns (elbo trace, trajectory of
+    Each iteration makes one call of ``estimate(vp)``, which returns
+    (grad_mu, grad_b, grad_d, elbo_sample), clips the gradient at +-_CLIP
+    and steps. An iteration whose estimate raises ValueError/LinAlgError or
+    is non-finite is skipped: no step, NaN in the ELBO trace. After every
+    step ``on_step(t)`` is called. Returns (elbo trace, trajectory of
     mu[:s] at the start of each iteration, skipped count, clipped count).
     """
     states = [AdadeltaState.zeros(a.shape) for a in (vp.mu, vp.b, vp.d)]
@@ -287,18 +280,7 @@ def _sga(vp: VParams, estimate, iters: int, s: int, n_draws: int, clip: float,
     for t in range(iters):
         trajectory[t] = vp.mu[:s]
         try:
-            *grads, elbo_t, aux = estimate(vp)
-            auxes = [aux]
-            for _ in range(n_draws - 1):
-                *more, e, aux = estimate(vp)
-                for g, m in zip(grads, more):
-                    g += m
-                elbo_t += e
-                auxes.append(aux)
-            if n_draws > 1:
-                for g in grads:
-                    g /= n_draws
-                elbo_t /= n_draws
+            *grads, elbo_t = estimate(vp)
         except (ValueError, np.linalg.LinAlgError):
             skipped += 1
             continue
@@ -306,16 +288,16 @@ def _sga(vp: VParams, estimate, iters: int, s: int, n_draws: int, clip: float,
             skipped += 1
             continue
         elbo[t] = elbo_t
-        clipped += int(sum(np.sum(np.abs(g) > clip) for g in grads))
+        clipped += int(sum(np.sum(np.abs(g) > _CLIP) for g in grads))
         steps = []
         for i, g in enumerate(grads):
-            delta, states[i] = adadelta_step(states[i], np.clip(g, -clip, clip))
+            delta, states[i] = adadelta_step(states[i], np.clip(g, -_CLIP, _CLIP))
             steps.append(delta)
         vp.mu = vp.mu + steps[0]
         vp.b = (vp.b + steps[1]) * vp.mask
         vp.d = vp.d + steps[2]
         if on_step is not None:
-            on_step(t, auxes)
+            on_step(t)
     return elbo, trajectory, skipped, clipped
 
 
@@ -325,9 +307,7 @@ def _fit_flags(skipped: int, clipped: int, iters: int) -> dict:
 
 
 def jvb_fit(target, init: np.ndarray, iters: int, p: int,
-            rng: np.random.Generator, clip: float = _CLIP,
-            summary_draws: int = _SUMMARY_DRAWS, n_draws_per_iter: int = 1,
-            seed: int | None = None) -> FitResult:
+            rng: np.random.Generator, seed: int | None = None) -> FitResult:
     """Stochastic-gradient ascent of the joint factor-Gaussian ELBO.
 
     ``init`` is the starting mean of dimension S + n_u.
@@ -342,9 +322,8 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
         raise ValueError(f"init has shape {init.shape}, expected ({dim},)")
     vp = VParams.initial(init, p)
     elbo, trajectory, skipped, clipped = _sga(
-        vp, lambda v: (*jvb_gradient_estimate(v, target, rng), None),
-        iters, s, n_draws_per_iter, clip)
-    theta_mean, theta_sd = _theta_summaries(target, vp, s, rng, summary_draws)
+        vp, lambda v: jvb_gradient_estimate(v, target, rng), iters, s)
+    theta_mean, theta_sd = _theta_summaries(target, vp, s, rng)
     yu_sd = vp.marginal_sd()[s:]
     return FitResult(method="jvb", mechanism=target.mechanism, seed=seed,
                      iterations=iters, p=p, vparams=vp, elbo_trace=elbo,
@@ -353,7 +332,7 @@ def jvb_fit(target, init: np.ndarray, iters: int, p: int,
                      theta_mean=theta_mean, theta_sd=theta_sd,
                      yu_index=target.pattern.unobserved_idx.copy(),
                      yu_mean=vp.mu[s:].copy(), yu_sd=yu_sd,
-                     tuning={"clip": clip, "draws_per_iteration": n_draws_per_iter},
+                     tuning={"clip": _CLIP},
                      flags=_fit_flags(skipped, clipped, iters),
                      elapsed_seconds=time.perf_counter() - start)
 
@@ -381,10 +360,8 @@ def _sample_yu(target, theta, cfg: McmcConfig, rng, y_u_prev, plan: GmrfPlan):
 
 def hvb_fit(target, init: np.ndarray, iters: int, p: int,
             sampler_cfg: McmcConfig, rng: np.random.Generator,
-            clip: float = _CLIP, summary_draws: int = _SUMMARY_DRAWS,
             yu_window: float = 0.2, seed: int | None = None,
-            method_tag: str | None = None,
-            n_draws_per_iter: int = 1) -> FitResult:
+            method_tag: str | None = None) -> FitResult:
     """Hybrid VB: factor Gaussian on theta, conditional sampling for y_u.
 
     ``init`` is the starting mean of dimension S. y_u posterior summaries are
@@ -406,32 +383,26 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     yu_sum = np.zeros(n_u)
     yu_sumsq = np.zeros(n_u)
     acc_history = []
-    y_u_prev = None
+    # the latest y_u draw and its acceptance; y_u is None before the first draw
+    y_u, acc = (None if n_u > 0 else np.empty(0)), np.nan
     plan = GmrfPlan(target.weights, target.pattern) if n_u > 0 else None
 
     def estimate(v):
-        nonlocal y_u_prev
+        nonlocal y_u, acc
         theta, draw = draw_variational(v, rng)
         if n_u > 0:
-            y_u, acc = _sample_yu(target, theta, sampler_cfg, rng, y_u_prev, plan)
-            y_u_prev = y_u
-        else:
-            y_u, acc = np.empty(0), np.nan
-        return (*hvb_gradient_estimate(v, target, y_u, theta, draw),
-                (y_u, acc))
+            y_u, acc = _sample_yu(target, theta, sampler_cfg, rng, y_u, plan)
+        return hvb_gradient_estimate(v, target, y_u, theta, draw)
 
-    def on_step(t, draws):
+    def on_step(t):
         nonlocal yu_count, yu_sum, yu_sumsq
-        finite_draws = [acc for _, acc in draws if np.isfinite(acc)]
-        acc_history.append(float(np.mean(finite_draws)) if finite_draws else np.nan)
+        acc_history.append(acc)
         if t >= window_start:
-            y_u = draws[-1][0]
             yu_count += 1
             yu_sum += y_u
             yu_sumsq += y_u ** 2
 
-    elbo, trajectory, skipped, clipped = _sga(vp, estimate, iters, s,
-                                              n_draws_per_iter, clip, on_step)
+    elbo, trajectory, skipped, clipped = _sga(vp, estimate, iters, s, on_step)
     if yu_count > 1:
         yu_mean = yu_sum / yu_count
         var = (yu_sumsq - yu_count * yu_mean ** 2) / (yu_count - 1)
@@ -439,7 +410,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     else:
         yu_mean = yu_sum / max(yu_count, 1)
         yu_sd = np.full(n_u, np.nan)
-    theta_mean, theta_sd = _theta_summaries(target, vp, s, rng, summary_draws)
+    theta_mean, theta_sd = _theta_summaries(target, vp, s, rng)
     warning = _smooth_warning(acc_history)
     finite_acc = [a for a in acc_history if np.isfinite(a)]
     flags = {**_fit_flags(skipped, clipped, iters), "elbo_is_proxy": True}
@@ -452,8 +423,7 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
               "k_prime": sampler_cfg.k_prime if sampler_cfg.scheme == "randomb" else None,
               "warm_start": sampler_cfg.warm_start,
               "mean_acceptance": float(np.mean(finite_acc)) if finite_acc else None,
-              "yu_window": yu_window, "clip": clip,
-              "draws_per_iteration": n_draws_per_iter}
+              "yu_window": yu_window, "clip": _CLIP}
     method = method_tag or f"hvb-{sampler_cfg.scheme}"
     return FitResult(method=method, mechanism=target.mechanism, seed=seed,
                      iterations=iters, p=p, vparams=vp, elbo_trace=elbo,
@@ -472,18 +442,14 @@ def _validate_sampler(mechanism: str, cfg: McmcConfig) -> None:
         raise ValueError(f"scheme {cfg.scheme!r} is only exact under MAR")
 
 
-def hmc_fit(target, cfg, init_theta: np.ndarray, rng: np.random.Generator,
-            tune: bool = True, seed: int | None = None) -> FitResult:
-    """Run the leapfrog HMC baseline and package chain summaries."""
+def hmc_fit(target, cfg: HmcConfig, init_theta: np.ndarray,
+            rng: np.random.Generator, seed: int | None = None) -> FitResult:
+    """Tune the step size from ``cfg.step_size``, run the leapfrog HMC
+    baseline and package chain summaries."""
     start = time.perf_counter()
     y_u0 = draw_initial_yu(target, init_theta, rng)
-    eps = cfg.step_size
-    if tune:
-        eps = tune_step_size(target, cfg, (init_theta, y_u0), rng)
-    run_cfg = HmcConfig(n_samples=cfg.n_samples, n_leapfrog=cfg.n_leapfrog,
-                        step_size=eps, burn_in=cfg.burn_in,
-                        mass_diag=cfg.mass_diag)
-    res = hmc_run(target, run_cfg, (init_theta, y_u0), rng)
+    eps = tune_step_size(target, cfg, (init_theta, y_u0), rng)
+    res = hmc_run(target, replace(cfg, step_size=eps), (init_theta, y_u0), rng)
     s = target.S
     cons = target.constrain(res.chain[:, :s])
     yu_draws = res.chain[:, s:]

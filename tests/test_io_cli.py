@@ -9,7 +9,7 @@ import pytest
 from spatialvb import (MarMechanism, MissingPattern, MnarMechanism, SimConfig,
                        build_rook_grid_weights, row_normalize,
                        simulate_dataset)
-from spatialvb.cli import main
+from spatialvb.cli import RunConfig, main
 from spatialvb.io import (load_dataset, read_matrix, read_pattern,
                           read_response, read_weights, write_dataset,
                           write_matrix, write_pattern, write_response,
@@ -99,6 +99,18 @@ def test_pattern_round_trip(tmp_path):
     np.testing.assert_array_equal(back.m, pattern.m)
 
 
+@pytest.mark.parametrize("last_row, message", [
+    ("500,1", "line 6: index 500 is outside the 5 units"),
+    ("-1,1", "line 6: index -1 is outside the 5 units"),
+    ("1,1", "line 6: index 1 repeats"),
+])
+def test_pattern_reader_names_a_bad_index(tmp_path, last_row, message):
+    path = tmp_path / "pattern.csv"
+    path.write_text("index,m\n0,1\n1,0\n2,0\n3,1\n" + last_row + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_pattern(path)
+
+
 def test_dataset_round_trip_mar(tmp_path):
     cfg = SimConfig(side=4, r=2, mechanism=MarMechanism(missing_fraction=0.3),
                     seed=5)
@@ -128,6 +140,9 @@ def test_dataset_round_trip_mnar(tmp_path):
 
 
 # -- CLI ----------------------------------------------------------------------
+#
+# Config keys are checked strictly: an unknown key, at the top or in a nested
+# block, or a missing required key, stops the command with exit code 2.
 
 
 def write_sim_config(tmp_path, side=4, mechanism=None, seed=9, r=2):
@@ -296,6 +311,62 @@ def test_cli_print_config_echoes_resolved(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == "jvb" and doc["p"] == 2
     assert not (tmp_path / "nope").exists()
+    # the resolved document, which replicate jobs re-read, parses as it is
+    assert RunConfig.from_json(json.dumps(doc)).to_doc() == doc
+
+
+def _edit(doc, path, value):
+    """``doc`` with the key at ``path`` set to ``value``, or removed if
+    ``value`` is None."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    inner = doc
+    for name in parents:
+        inner = inner.setdefault(name, {})
+    if value is None:
+        del inner[key]
+    else:
+        inner[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("draws_per_iteraton",), 2, "run config: unknown key 'draws_per_iteraton'"),
+    (("draws_per_iteration",), 1, "run config: unknown key 'draws_per_iteration'"),
+    (("hmc", "mass"), 1, "run config hmc: unknown key 'mass'"),
+    (("priors", "var_sigma"), 1.0, "run config priors: unknown key 'var_sigma'"),
+    (("method",), None, "run config: missing required key 'method'"),
+])
+def test_cli_fit_refuses_unknown_and_missing_keys(tmp_path, capsys, path, value,
+                                                   message):
+    ds = make_dataset(tmp_path)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(_edit(run_config(ds, "jvb", tmp_path / "run"),
+                                    path, value)))
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("side",), None, "sim config: missing required key 'side'"),
+    (("sigma2",), 4.0, "sim config: unknown key 'sigma2'"),
+    (("mechanism",), None, "sim config: missing required key 'mechanism'"),
+    (("mechanism", "missing_fraction"), None,
+     "sim config mechanism MAR: missing required key 'missing_fraction'"),
+    (("mechanism", "psi_y"), -0.2, "sim config mechanism MAR: unknown key 'psi_y'"),
+    (("mechanism", "rate"), 0.5, "sim config mechanism: unknown key 'rate'"),
+])
+def test_cli_simulate_refuses_unknown_and_missing_keys(tmp_path, capsys, path,
+                                                       value, message):
+    cfg_path = write_sim_config(tmp_path)
+    cfg_path.write_text(json.dumps(_edit(json.loads(cfg_path.read_text()),
+                                         path, value)))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "ds")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_cli_seed_override(tmp_path):
@@ -333,6 +404,39 @@ def test_cli_fit_replicates_with_jobs(tmp_path):
     assert main(["fit", "--config", str(cfg)]) == 0
     assert ((out / "seed_5" / "missing_posterior.csv").read_bytes()
             == (out2 / "seed_5" / "missing_posterior.csv").read_bytes())
+
+
+_NUMERIC_ARTIFACTS = ("elbo_trace.csv", "mean_trajectory.csv",
+                      "missing_posterior.csv", "chain.csv")
+
+
+def test_cli_fit_deterministic_bytes(tmp_path):
+    mnar = {"kind": "MNAR", "psi_0": 0.2, "psi_xstar": 0.5, "psi_y": -0.2,
+            "covariate_index": 1}
+    hmc = {"hmc": {"n_samples": 6, "n_leapfrog": 3, "step_size": 0.5, "burn_in": 2}}
+    for mechanism, methods in (("mar", ("jvb", "hvb-nob", "hvb-g", "hmc")),
+                               ("mnar", ("jvb", "hvb-nob", "hvb-allb", "hvb-3b",
+                                         "hmc"))):
+        cfg_path = write_sim_config(tmp_path, side=5, seed=4,
+                                    mechanism=mnar if mechanism == "mnar" else None)
+        ds = tmp_path / f"ds_{mechanism}"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(ds)]) == 0
+        for method in methods:
+            runs = [tmp_path / f"{method}_{mechanism}_{k}" for k in range(2)]
+            for run_dir in runs:
+                cfg = tmp_path / "fit.json"
+                cfg.write_text(json.dumps(run_config(
+                    ds, method, run_dir, iterations=8,
+                    extra=hmc if method == "hmc" else None)))
+                assert main(["fit", "--config", str(cfg)]) == 0, method
+            names = [n for n in _NUMERIC_ARTIFACTS if (runs[0] / n).exists()]
+            assert ("chain.csv" in names) == (method == "hmc")
+            for name in names:
+                assert ((runs[0] / name).read_bytes()
+                        == (runs[1] / name).read_bytes()), (method, name)
+            summaries = [[line for line in (r / "summary.json").read_text().splitlines()
+                          if '"elapsed_seconds"' not in line] for r in runs]
+            assert summaries[0] == summaries[1], method
 
 
 def test_fit_artifact_schemas(tmp_path):
@@ -497,6 +601,22 @@ def test_cli_fit_keeps_an_island_at_the_highest_index(tmp_path):
         cfg.write_text(json.dumps(run_config(ds, method, tmp_path / method,
                                              iterations=10)))
         assert main(["fit", "--config", str(cfg)]) == 0, method
+
+
+@pytest.mark.parametrize("index, message", [
+    (500, "index 500 is outside the 16 units"),
+    (-1, "index -1 is outside the 16 units"),
+    (0, "index 0 repeats"),
+])
+def test_cli_fit_names_a_bad_pattern_index(tmp_path, capsys, index, message):
+    ds = make_dataset(tmp_path)
+    lines = (ds / "pattern.csv").read_text().splitlines()
+    lines[-1] = f"{index},{lines[-1].split(',')[1]}"
+    (ds / "pattern.csv").write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(run_config(ds, "jvb", tmp_path / "run", iterations=5)))
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert f"pattern.csv, line 17: {message}" in capsys.readouterr().err
 
 
 def test_cli_fit_names_a_weight_index_past_the_units(tmp_path, capsys):

@@ -402,38 +402,19 @@ def test_hvb_fit_deterministic_under_seed():
     np.testing.assert_array_equal(r1.theta_mean, r2.theta_mean)
 
 
-def test_multi_draw_estimator_knob():
-    target = GaussianTarget(np.array([1.0, -1.0]), np.diag([0.5, 0.8]))
-    res = jvb_fit(target, np.zeros(2), 2000, 1, np.random.default_rng(7),
-                  seed=7, n_draws_per_iter=3)
-    np.testing.assert_allclose(res.vparams.mu, [1.0, -1.0], atol=0.1)
-    cfg = McmcConfig(scheme="direct", n1=1)
-    res_h = hvb_fit(target, np.zeros(2), 2000, 1, cfg, np.random.default_rng(8),
-                    seed=8, n_draws_per_iter=2)
-    assert res_h.tuning["draws_per_iteration"] == 2
-    np.testing.assert_allclose(res_h.vparams.mu, [1.0, -1.0], atol=0.1)
-
-
-def _fit(kind, target, n_draws, iters=30):
+def _fit(kind, target):
     rng = np.random.default_rng(0)
     if kind == "jvb":
-        return jvb_fit(target, np.zeros(3), iters, 1, rng, n_draws_per_iter=n_draws)
-    return hvb_fit(target, np.zeros(3), iters, 1, McmcConfig(scheme="direct", n1=1),
-                   rng, n_draws_per_iter=n_draws)
+        return jvb_fit(target, np.zeros(3), 30, 1, rng)
+    return hvb_fit(target, np.zeros(3), 30, 1, McmcConfig(scheme="direct", n1=1), rng)
 
 
-# (draws per iteration, failing calls, iterations they fail): a failed draw
-# ends its iteration, so the iteration's later draws are never made
-_FAILURES = [(1, {0, 7, 8, 25}, {0, 7, 8, 25}),
-             (2, {1, 15, 17, 41}, {0, 7, 8, 20}),
-             (2, {0, 3, 17}, {0, 2, 9})]
-
-
-@pytest.mark.parametrize("n_draws,fail_calls,failed", _FAILURES)
 @pytest.mark.parametrize("kind", ["jvb", "hvb"])
-def test_sga_driver_skips_exactly_the_failed_iterations(kind, n_draws, fail_calls,
-                                                        failed):
-    res = _fit(kind, FailingTarget(fail_calls), n_draws)
+def test_sga_driver_skips_exactly_the_failed_iterations(kind):
+    # one target call per iteration, so the failing calls are the skipped
+    # iterations
+    failed = {0, 7, 8, 25}
+    res = _fit(kind, FailingTarget(failed))
     assert res.flags["skipped_iterations"] == len(failed)
     assert res.flags["flagged"]
     assert set(np.flatnonzero(np.isnan(res.elbo_trace))) == failed
@@ -446,7 +427,7 @@ def test_sga_driver_skips_exactly_the_failed_iterations(kind, n_draws, fail_call
 @pytest.mark.parametrize("kind", ["jvb", "hvb"])
 def test_sga_driver_propagates_other_errors(kind):
     with pytest.raises(IndexError, match="call 4"):
-        _fit(kind, FailingTarget({4}, IndexError), 1)
+        _fit(kind, FailingTarget({4}, IndexError))
 
 
 def test_hmc_fit_on_lu_backend_matches_spectrum(grid4):
