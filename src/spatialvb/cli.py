@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .io import (Dataset, check_keys, load_dataset, read_fit_summary,
+from .io import (Dataset, check_types, load_dataset, read_fit_summary,
                  read_missing_posterior, read_response, write_dataset,
                  write_fit_result)
 from .missing import default_block_size, make_blocks
 from .posterior import PriorSpec, TargetDensity
-from .samplers import HmcConfig, McmcConfig
+from .samplers import PILOT_ITERATIONS, HmcConfig, McmcConfig
 from .simulate import SimConfig, simulate_dataset
 from .vb import (default_init_theta, draw_initial_yu, hmc_fit, hvb_fit, jvb_fit)
 
@@ -39,6 +39,13 @@ _METHOD_MECHANISMS = {
 
 _HMC_DEFAULTS = {"n_samples": 5000, "n_leapfrog": 30, "step_size": 0.25,
                  "burn_in": 1000}
+
+# the JSON type of each run-config value (None: null is allowed)
+_RUN_TYPES = {"dataset": str, "method": str, "iterations": int, "p": int,
+              "n1": (int, None), "block_size": (int, None), "k_prime": int,
+              "warm_start": bool, "priors": (dict, None), "seed": int,
+              "out": (str, None), "yu_window": float, "hmc": (dict, None),
+              "replicates": (list, None)}
 
 
 @dataclass
@@ -65,14 +72,15 @@ class RunConfig:
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         """Parse a run config; an unknown key, at the top or in ``priors`` or
-        ``hmc``, or a missing ``dataset`` or ``method`` is a ValueError."""
-        doc = check_keys(json.loads(text), "run config",
-                         {f.name for f in fields(RunConfig)}, ("dataset", "method"))
-        priors = check_keys(doc.pop("priors", None) or {}, "run config priors",
-                            {f.name for f in fields(PriorSpec)})
-        hmc = check_keys(doc.pop("hmc", None) or {}, "run config hmc", _HMC_DEFAULTS)
-        return RunConfig(priors=PriorSpec(**{k: float(v) for k, v in priors.items()}),
-                         hmc={**_HMC_DEFAULTS, **hmc}, **doc)
+        ``hmc``, a value of the wrong JSON type, or a missing ``dataset`` or
+        ``method`` is a ValueError."""
+        doc = check_types(json.loads(text), "run config", _RUN_TYPES,
+                          ("dataset", "method"))
+        priors = check_types(doc.pop("priors", None) or {}, "run config priors",
+                             dict.fromkeys((f.name for f in fields(PriorSpec)), float))
+        hmc = check_types(doc.pop("hmc", None) or {}, "run config hmc",
+                          {k: type(v) for k, v in _HMC_DEFAULTS.items()})
+        return RunConfig(priors=PriorSpec(**priors), hmc={**_HMC_DEFAULTS, **hmc}, **doc)
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -85,11 +93,22 @@ def check_compatibility(method: str, mechanism: str) -> None:
                          f"{', '.join(_METHOD_MECHANISMS[method]).upper()})")
 
 
-def build_target(dataset: Dataset, priors: PriorSpec) -> TargetDensity:
+def planned_evaluations(cfg: RunConfig) -> int:
+    """Target evaluations the fit of ``cfg`` plans: one per SGA step, or
+    one per leapfrog step of HMC's first step-size pilot, burn-in and kept
+    samples."""
+    if cfg.method == "hmc":
+        h = cfg.hmc
+        return (PILOT_ITERATIONS + h["burn_in"] + h["n_samples"]) * h["n_leapfrog"]
+    return cfg.iterations
+
+
+def build_target(dataset: Dataset, cfg: RunConfig) -> TargetDensity:
     return TargetDensity(x=dataset.x, weights=dataset.weights,
                          y_obs=dataset.y_obs, pattern=dataset.pattern,
-                         priors=priors, x_star=dataset.x_star,
-                         mechanism=dataset.mechanism)
+                         priors=cfg.priors, x_star=dataset.x_star,
+                         mechanism=dataset.mechanism,
+                         evaluations=planned_evaluations(cfg))
 
 
 def sampler_config_for(method: str, mechanism: str, cfg: RunConfig,
@@ -115,7 +134,7 @@ def run_fit(cfg: RunConfig, out_dir: str | Path):
     dataset = load_dataset(cfg.dataset)
     mechanism = dataset.mechanism
     check_compatibility(cfg.method, mechanism)
-    target = build_target(dataset, cfg.priors)
+    target = build_target(dataset, cfg)
     rng = np.random.default_rng(cfg.seed)
     theta0 = default_init_theta(target)
     if cfg.method == "jvb":

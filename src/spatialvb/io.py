@@ -44,6 +44,37 @@ def check_keys(doc, where: str, known, required=()) -> dict:
     return doc
 
 
+_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+                    str: "a string", list: "a list", dict: "an object",
+                    None: "null"}
+
+
+def _has_json_type(value, kind) -> bool:
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):      # JSON true/false is no number
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def check_types(doc, where: str, types: dict, required=()) -> dict:
+    """``doc`` checked by :func:`check_keys` with the keys of ``types``, and
+    each value against the JSON type that ``types`` gives its key: bool,
+    int, float, str, list, dict, or a tuple of them with None for null. An
+    int is a float too, and is returned as one; a JSON true or false is no
+    number. A value of another type is a ValueError naming its key."""
+    out = {}
+    for key, value in check_keys(doc, where, types, required).items():
+        kinds = types[key] if isinstance(types[key], tuple) else (types[key],)
+        if not any(_has_json_type(value, kind) for kind in kinds):
+            want = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
+            raise ValueError(f"{where}: {key!r} must be {want}, got {value!r}")
+        out[key] = float(value) if float in kinds and isinstance(value, int) else value
+    return out
+
+
 # -- weight matrices ----------------------------------------------------------
 
 
@@ -203,6 +234,9 @@ def read_pattern(path) -> MissingPattern:
         if not 0 <= i < len(m):
             raise ValueError(f"{path}, line {line}: index {i} is outside the "
                              f"{len(m)} units")
+        if v not in (0, 1):
+            raise ValueError(f"{path}, line {line}: m is {v}; it must be 0 "
+                             "(observed) or 1 (missing)")
         if m[i] is not None:
             raise ValueError(f"{path}, line {line}: index {i} repeats")
         m[i] = v

@@ -40,16 +40,17 @@ class TargetDensity:
 
     Immutable after construction; evaluations may run concurrently and are
     deterministic functions of their inputs. The trace/log-determinant
-    backend is :class:`PrecisionOps`: the precomputed spectrum of W up to
-    2,500 units and one complex-step sparse LU per evaluation above; both
-    are exact.
+    backend is :class:`PrecisionOps`, both of whose backends are exact: the
+    spectrum of W, solved once, or one complex-step sparse LU per
+    evaluation. ``evaluations``, the number of evaluations the fit plans
+    (10,000 by default, the paper's iteration count), picks between them.
     """
 
     def __init__(self, x: np.ndarray, weights: SpatialWeights,
                  y_obs: np.ndarray, pattern: MissingPattern,
                  priors: PriorSpec | None = None,
                  x_star: np.ndarray | None = None,
-                 mechanism: str = "mar"):
+                 mechanism: str = "mar", evaluations: int = 10_000):
         if mechanism not in ("mar", "mnar"):
             raise ValueError(f"unknown mechanism {mechanism!r}")
         if mechanism == "mnar" and x_star is None:
@@ -80,7 +81,7 @@ class TargetDensity:
         # W^T is the CSC view that ``matrix.T`` returns, held so that each
         # evaluation builds no sparse matrix
         self._wt = weights.matrix.T
-        self.ops = PrecisionOps(weights)
+        self.ops = PrecisionOps(weights, evaluations)
         self.n_beta = self.x.shape[1]
         self._i_gamma = self.n_beta
         self._i_lambda = self.n_beta + 1

@@ -442,12 +442,16 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
                      divergences=divergences, log_h_trace=logh_trace)
 
 
+PILOT_ITERATIONS = 200
+
+
 def tune_step_size(target, cfg: HmcConfig, init, rng: np.random.Generator) -> float:
-    """Halve ``cfg.step_size`` until a 200-iteration pilot run from ``init``
-    accepts at least 60% of its proposals, at most 20 times."""
+    """Halve ``cfg.step_size`` until a pilot run of PILOT_ITERATIONS from
+    ``init`` accepts at least 60% of its proposals, at most 20 times."""
     eps = cfg.step_size
     for _ in range(20):
-        pilot = HmcConfig(n_samples=200, n_leapfrog=cfg.n_leapfrog, step_size=eps)
+        pilot = HmcConfig(n_samples=PILOT_ITERATIONS, n_leapfrog=cfg.n_leapfrog,
+                          step_size=eps)
         res = hmc_run(target, pilot, init, rng)
         if res.accept_rate >= 0.6:
             return eps

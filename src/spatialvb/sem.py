@@ -4,8 +4,9 @@ The response of the model is multivariate Gaussian with mean X beta and
 covariance sigma2 * (A^T A)^{-1}, where A = I - rho W. All operations here
 are pure; the heavy pieces (log-determinant, trace of M^{-1} dM/drho) are
 served by :class:`PrecisionOps`, exactly and deterministically at every n:
-from the spectrum of W, computed once, for small/medium n, and from one
-complex-step sparse LU per rho for large n.
+from the spectrum of W, computed once by a banded eigensolve, when the fit
+plans enough evaluations to repay it, and otherwise from one complex-step
+sparse LU per rho.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .weights import SpatialWeights, weight_eigenvalues
+from .weights import SpatialWeights, spectrum_bandwidth, weight_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -96,24 +97,43 @@ def spatial_filter(rho: float | complex, w: SpatialWeights) -> sparse.csr_matrix
 # 2003): Im f(rho + ih) / h = f'(rho) with no cancellation, so h can be tiny
 _COMPLEX_STEP = 1e-30
 
+# One banded eigensolve of W costs about as much as n (bw + 1) / 2,000
+# complex-step LUs, bw being its bandwidth in reverse Cuthill-McKee order.
+# Break-even counts measured on rook grids, one BLAS thread of a 2-vCPU VM,
+# two runs (n = 3,600 in the second only):
+#     n       625  1,600  2,500  3,600  4,900  10,000
+#     bw       25     40     50     60     70     100
+#     count 10-11  38-40  59-70    128 114-182 313-466
+# Both costs follow from n and bw alone, so the choice never reads a clock
+# and a fixed-seed fit always takes the same backend.
+_BAND_ENTRIES_PER_LU = 2_000
+
 
 class PrecisionOps:
     """Log-determinant and trace machinery for M_y(rho) on fixed weights.
 
-    Both backends are exact and deterministic. For n <= exact_max_n the
-    spectrum of W is computed once, giving O(n) evaluations of
-    log|M_y| = 2 sum log(1 - rho lam_i) and
-    tr{M_y^{-1} dM_y/drho} = -2 sum lam_i / (1 - rho lam_i). Above the
-    threshold, one sparse LU of I - (rho + ih) W per rho gives both from
-    its pivots u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
+    Both backends are exact and deterministic. The spectrum of W, computed
+    once (:func:`~spatialvb.weights.weight_eigenvalues`), gives O(n)
+    evaluations of log|M_y| = 2 sum log(1 - rho lam_i) and
+    tr{M_y^{-1} dM_y/drho} = -2 sum lam_i / (1 - rho lam_i). Without it,
+    one sparse LU of I - (rho + ih) W per rho gives both from its pivots
+    u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
     differentiation, tr{M_y^{-1} dM_y/drho} = 2 sum (Im u_ii / Re u_ii) / h.
+
+    ``evaluations`` is the number of :meth:`pivots` calls the caller plans.
+    The spectrum is held iff its one-off solve costs no more than that many
+    LUs, a cost model in n and the bandwidth of W only; ``evaluations=0``
+    always takes the LU.
     """
 
     n_probes = 0  # no stochastic probes remain
 
-    def __init__(self, w: SpatialWeights, exact_max_n: int = 2500):
+    def __init__(self, w: SpatialWeights, evaluations: int = 10_000):
         self.weights = w
-        self.eigenvalues = weight_eigenvalues(w) if w.n <= exact_max_n else None
+        self.eigenvalues = None
+        band_entries = w.n * (spectrum_bandwidth(w) + 1)
+        if evaluations * _BAND_ENTRIES_PER_LU >= band_entries:
+            self.eigenvalues = weight_eigenvalues(w)
 
     def pivots(self, rho: float) -> np.ndarray:
         """The pivots of I - rho W at one rho: the factors 1 - rho lam_i of
@@ -174,7 +194,7 @@ def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,
         raise ValueError("the likelihood needs row-normalized weights")
     if not -1.0 < params.rho < 1.0:
         raise ValueError(f"rho={params.rho} outside admissible interval (-1, 1)")
-    logdet = PrecisionOps(w, exact_max_n=0).logdet_m(params.rho)
+    logdet = PrecisionOps(w, evaluations=1).logdet_m(params.rho)
     r = y - x @ params.beta
     ar = r - params.rho * (w.matrix @ r)
     quad = float(ar @ ar)  # r^T A^T A r

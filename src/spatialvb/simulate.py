@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .io import check_keys
+from .io import check_keys, check_types
 from .missing import MissingPattern, SelectionModel, generate_mar, generate_mnar
 from .sem import SemParams, spatial_filter
 from .weights import SpatialWeights, build_rook_grid_weights, row_normalize
@@ -31,7 +31,10 @@ class MnarMechanism:
     kind = "MNAR"
 
 
-# the fields of each mechanism kind in a sim config, and how each is read
+# the JSON type of each sim-config value, and of each field of a mechanism kind
+_SIM_TYPES = {"side": int, "r": int, "beta_true": (list, None),
+              "sigma2_true": float, "rho_true": float, "mechanism": dict,
+              "seed": int}
 _MECHANISMS = {"MAR": {"missing_fraction": float},
                "MNAR": {"psi_0": float, "psi_xstar": float, "psi_y": float,
                         "covariate_index": int}}
@@ -76,26 +79,24 @@ class SimConfig:
     @staticmethod
     def from_json(text: str) -> "SimConfig":
         """Parse a sim config; an unknown key, at the top or in
-        ``mechanism``, or a missing ``side``, ``mechanism`` or mechanism
-        field is a ValueError."""
-        doc = check_keys(json.loads(text), "sim config",
-                         {f.name for f in fields(SimConfig)}, ("side", "mechanism"))
+        ``mechanism``, a value of the wrong JSON type, or a missing ``side``,
+        ``mechanism`` or mechanism field is a ValueError. A key left out
+        takes the dataclass default."""
+        doc = check_types(json.loads(text), "sim config", _SIM_TYPES,
+                          ("side", "mechanism"))
         mech_doc = check_keys(doc["mechanism"], "sim config mechanism",
                               {"kind", *_MECHANISMS["MAR"], *_MECHANISMS["MNAR"]},
                               ("kind",))
-        kind = str(mech_doc["kind"]).upper()
+        given = mech_doc.pop("kind")
+        kind = str(given).upper()
         if kind not in _MECHANISMS:
-            raise ValueError(f"unknown mechanism kind {mech_doc['kind']!r}")
-        readers = _MECHANISMS[kind]
-        check_keys(mech_doc, f"sim config mechanism {kind}", {"kind", *readers}, readers)
-        args = {key: read(mech_doc[key]) for key, read in readers.items()}
-        mech = MarMechanism(**args) if kind == "MAR" else MnarMechanism(**args)
-        beta = doc.get("beta_true")
-        return SimConfig(side=int(doc["side"]), r=int(doc.get("r", 10)),
-                         beta_true=tuple(beta) if beta is not None else None,
-                         sigma2_true=float(doc.get("sigma2_true", 1.0)),
-                         rho_true=float(doc.get("rho_true", 0.8)),
-                         mechanism=mech, seed=int(doc.get("seed", 0)))
+            raise ValueError(f"unknown mechanism kind {given!r}")
+        args = check_types(mech_doc, f"sim config mechanism {kind}",
+                           _MECHANISMS[kind], _MECHANISMS[kind])
+        doc["mechanism"] = MarMechanism(**args) if kind == "MAR" else MnarMechanism(**args)
+        if doc.get("beta_true") is not None:
+            doc["beta_true"] = tuple(doc["beta_true"])
+        return SimConfig(**doc)
 
 
 def simulate_sem(cfg: SimConfig):

@@ -9,7 +9,7 @@ import pytest
 from spatialvb import (MarMechanism, MissingPattern, MnarMechanism, SimConfig,
                        build_rook_grid_weights, row_normalize,
                        simulate_dataset)
-from spatialvb.cli import RunConfig, main
+from spatialvb.cli import RunConfig, main, planned_evaluations
 from spatialvb.io import (load_dataset, read_matrix, read_pattern,
                           read_response, read_weights, write_dataset,
                           write_matrix, write_pattern, write_response,
@@ -108,6 +108,15 @@ def test_pattern_reader_names_a_bad_index(tmp_path, last_row, message):
     path = tmp_path / "pattern.csv"
     path.write_text("index,m\n0,1\n1,0\n2,0\n3,1\n" + last_row + "\n")
     with pytest.raises(ValueError, match=message):
+        read_pattern(path)
+
+
+@pytest.mark.parametrize("m", [500, 2, -1])
+def test_pattern_reader_names_a_bad_indicator(tmp_path, m):
+    path = tmp_path / "pattern.csv"
+    path.write_text(f"index,m\n0,1\n1,0\n2,0\n3,1\n4,{m}\n")
+    with pytest.raises(ValueError, match=f"line 6: m is {m}; it must be 0 "
+                                         r"\(observed\) or 1 \(missing\)"):
         read_pattern(path)
 
 
@@ -347,6 +356,88 @@ def test_cli_fit_refuses_unknown_and_missing_keys(tmp_path, capsys, path, value,
     assert main(["fit", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("iterations",), "10", "run config: 'iterations' must be an integer, got '10'"),
+    (("iterations",), True, "run config: 'iterations' must be an integer, got True"),
+    (("p",), 2.0, "run config: 'p' must be an integer, got 2.0"),
+    (("n1",), "5", "run config: 'n1' must be an integer or null, got '5'"),
+    (("yu_window",), "0.2", "run config: 'yu_window' must be a number, got '0.2'"),
+    (("warm_start",), 1, "run config: 'warm_start' must be true or false, got 1"),
+    (("dataset",), 7, "run config: 'dataset' must be a string, got 7"),
+    (("replicates",), 3, "run config: 'replicates' must be a list or null, got 3"),
+    (("hmc",), [30], "run config: 'hmc' must be an object or null, got [30]"),
+    (("hmc", "n_leapfrog"), "30",
+     "run config hmc: 'n_leapfrog' must be an integer, got '30'"),
+    (("hmc", "step_size"), False,
+     "run config hmc: 'step_size' must be a number, got False"),
+    (("priors", "var_beta"), "1e4",
+     "run config priors: 'var_beta' must be a number, got '1e4'"),
+])
+def test_cli_fit_refuses_values_of_the_wrong_type(tmp_path, capsys, path, value,
+                                                  message):
+    ds = make_dataset(tmp_path)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(_edit(run_config(ds, "jvb", tmp_path / "run"),
+                                    path, value)))
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_type_tables_name_every_field():
+    from dataclasses import fields
+
+    from spatialvb import cli, simulate
+    assert set(cli._RUN_TYPES) == {f.name for f in fields(RunConfig)}
+    assert set(simulate._SIM_TYPES) == {f.name for f in fields(SimConfig)}
+
+
+def test_planned_evaluations_follow_the_config():
+    assert planned_evaluations(RunConfig(dataset="d", method="hvb-g",
+                                         iterations=123)) == 123
+    hmc = RunConfig(dataset="d", method="hmc",
+                    hmc={"n_samples": 100, "burn_in": 50, "n_leapfrog": 30,
+                         "step_size": 0.1})
+    # the first step-size pilot, burn-in and kept samples, a gradient per leapfrog step
+    assert planned_evaluations(hmc) == (200 + 50 + 100) * 30
+
+
+def test_run_config_takes_an_integer_where_a_number_is_expected(tmp_path, capsys):
+    ds = make_dataset(tmp_path)
+    doc = run_config(ds, "hmc", tmp_path / "run")
+    doc.update(yu_window=1, priors={"var_beta": 100},
+               hmc={"step_size": 1, "n_samples": 10})
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg), "--print-config"]) == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert resolved["yu_window"] == 1.0 and isinstance(resolved["yu_window"], float)
+    assert resolved["priors"]["var_beta"] == 100.0
+    assert resolved["hmc"]["step_size"] == 1.0
+    assert isinstance(resolved["hmc"]["step_size"], float)
+    assert resolved["hmc"]["n_samples"] == 10
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("side",), "10", "sim config: 'side' must be an integer, got '10'"),
+    (("seed",), True, "sim config: 'seed' must be an integer, got True"),
+    (("rho_true",), "0.8", "sim config: 'rho_true' must be a number, got '0.8'"),
+    (("mechanism", "missing_fraction"), "0.75",
+     "sim config mechanism MAR: 'missing_fraction' must be a number, got '0.75'"),
+])
+def test_cli_simulate_refuses_values_of_the_wrong_type(tmp_path, capsys, path,
+                                                       value, message):
+    cfg_path = write_sim_config(tmp_path)
+    cfg_path.write_text(json.dumps(_edit(json.loads(cfg_path.read_text()),
+                                         path, value)))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "ds")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("path, value, message", [

@@ -6,13 +6,15 @@ from spatialvb import PriorSpec, SemParams, TargetDensity, sem_log_likelihood
 from conftest import random_instance, random_selection
 
 
-def make_target(w, seed, mechanism="mar", priors=None, psi_y=-0.2):
+def make_target(w, seed, mechanism="mar", priors=None, psi_y=-0.2,
+                evaluations=10_000):
     x, params, y, pattern, rng = random_instance(w, seed)
     y_obs = y[pattern.observed_idx]
     sel = random_selection(w.n, seed + 1, psi_y=psi_y) if mechanism == "mnar" else None
     target = TargetDensity(x=x, weights=w, y_obs=y_obs, pattern=pattern,
                            priors=priors, mechanism=mechanism,
-                           x_star=sel.x_star if sel else None)
+                           x_star=sel.x_star if sel else None,
+                           evaluations=evaluations)
     theta = target.unconstrain(params, sel.psi if sel else None)
     y_u = y[pattern.unobserved_idx] + rng.standard_normal(pattern.n_u) * 0.3
     return target, theta, y_u, (x, params, y, pattern, sel)
@@ -217,17 +219,16 @@ def test_priors_reject_nonpositive_variance():
 
 
 def test_lu_backend_path_through_fit(grid7):
-    # force the large-n backend (complex-step sparse LU): a short HVB run on
-    # the same data and seed matches the exact-spectrum backend to round-off
-    from spatialvb import McmcConfig, PrecisionOps
+    # force the complex-step sparse LU backend: a short HVB run on the same
+    # data and seed matches the exact-spectrum backend to round-off
+    from spatialvb import McmcConfig
     from spatialvb.vb import default_init_theta, hvb_fit
     x, params, y, pattern, _ = random_instance(grid7, 40, missing=0.25)
     y_obs = y[pattern.observed_idx]
     exact = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
                           mechanism="mar")
     lu = TargetDensity(x=x, weights=grid7, y_obs=y_obs, pattern=pattern,
-                       mechanism="mar")
-    lu.ops = PrecisionOps(grid7, exact_max_n=1)
+                       mechanism="mar", evaluations=0)
     assert lu.ops.eigenvalues is None
     theta0 = default_init_theta(exact)
     cfg = McmcConfig(scheme="direct", n1=1)
@@ -239,8 +240,9 @@ def test_lu_backend_path_through_fit(grid7):
 
 def test_lu_backend_evaluations_are_deterministic():
     from spatialvb import build_rook_grid_weights, row_normalize
-    w = row_normalize(build_rook_grid_weights(60))   # n = 3,600 > 2,500
-    target, theta, y_u, _ = make_target(w, 8)
+    # n = 3,600 (bw 60) with 20 planned evaluations: the rule picks the LU
+    w = row_normalize(build_rook_grid_weights(60))
+    target, theta, y_u, _ = make_target(w, 8, evaluations=20)
     assert target.ops.eigenvalues is None
     first = target.log_h_and_grads(theta, y_u)
     second = target.log_h_and_grads(theta, y_u)

@@ -8,7 +8,7 @@ from scipy.stats import multivariate_normal
 from spatialvb import (MissingPattern, SemParams, TargetDensity,
                        build_rook_grid_weights, row_normalize, sem_log_likelihood)
 from spatialvb.sem import PrecisionOps, PrecisionPattern
-from spatialvb.weights import SpatialWeights
+from spatialvb.weights import SpatialWeights, weight_eigenvalues
 
 from conftest import dense_sem_cov, random_instance
 
@@ -122,7 +122,7 @@ def test_sparse_logdet_matches_dense_at_n400():
     from spatialvb import build_rook_grid_weights, row_normalize
     w = row_normalize(build_rook_grid_weights(20))
     ops = PrecisionOps(w)
-    ops_lu = PrecisionOps(w, exact_max_n=1)
+    ops_lu = PrecisionOps(w, evaluations=0)
     for rho in (-0.7, 0.2, 0.9):
         dense = np.linalg.slogdet(PrecisionPattern(w).matrix(rho).toarray())[1]
         assert ops.logdet_m(rho) == pytest.approx(dense, abs=1e-9)
@@ -130,7 +130,7 @@ def test_sparse_logdet_matches_dense_at_n400():
 
 
 def test_logdet_splu_path_matches_dense(grid7):
-    ops = PrecisionOps(grid7, exact_max_n=1)  # force the LU backend
+    ops = PrecisionOps(grid7, evaluations=0)  # force the LU backend
     assert ops.eigenvalues is None
     dense = np.linalg.slogdet(PrecisionPattern(grid7).matrix(0.7).toarray())[1]
     assert ops.logdet_m(0.7) == pytest.approx(dense, abs=1e-9)
@@ -154,7 +154,7 @@ def test_trace_identity_matches_dense_solve(grid4):
 def test_lu_backend_is_exact(side):
     # the complex-step LU gives log|M_y| and its rho-derivative to round-off
     w = row_normalize(build_rook_grid_weights(side))
-    ops = PrecisionOps(w, exact_max_n=1)
+    ops = PrecisionOps(w, evaluations=0)
     for rho in (-0.9, 0.01, 0.5, 0.99):
         dense = np.linalg.slogdet(PrecisionPattern(w).matrix(rho).toarray())[1]
         pivots = ops.pivots(rho)
@@ -165,8 +165,9 @@ def test_lu_backend_is_exact(side):
 
 
 def test_lu_trace_is_the_derivative_of_the_logdet_above_cutoff():
-    w = row_normalize(build_rook_grid_weights(60))   # n = 3,600 > exact_max_n
-    ops = PrecisionOps(w)
+    # n = 3,600 (bw 60) with 20 planned evaluations: the rule picks the LU
+    w = row_normalize(build_rook_grid_weights(60))
+    ops = PrecisionOps(w, evaluations=20)
     assert ops.eigenvalues is None
     h = 1e-5
     for rho in (-0.6, 0.3, 0.9):
@@ -174,8 +175,35 @@ def test_lu_trace_is_the_derivative_of_the_logdet_above_cutoff():
         assert ops.trace_minv_dm(rho) == pytest.approx(central, rel=1e-7)
 
 
+def _no_solve(w):
+    raise AssertionError("the rule asked for the spectrum")
+
+
+def test_backend_rule_keeps_a_short_paper_scale_fit_on_the_lu(monkeypatch):
+    # the benchmark's 20-iteration fit at n = 10,000: the solve would cost
+    # hundreds of LUs, so none is made
+    monkeypatch.setattr("spatialvb.sem.weight_eigenvalues", _no_solve)
+    ops = PrecisionOps(row_normalize(build_rook_grid_weights(100)), evaluations=20)
+    assert ops.eigenvalues is None
+
+
+def test_backend_rule_holds_the_spectrum_when_it_pays():
+    w = row_normalize(build_rook_grid_weights(40))
+    ops = PrecisionOps(w, evaluations=100)
+    assert ops.eigenvalues is not None
+    np.testing.assert_array_equal(ops.eigenvalues, weight_eigenvalues(w))
+
+
+def test_backend_rule_takes_the_lu_for_no_evaluations(monkeypatch, grid3):
+    monkeypatch.setattr("spatialvb.sem.weight_eigenvalues", _no_solve)
+    pair = row_normalize(SpatialWeights(matrix=sparse.csr_matrix(
+        np.array([[0.0, 1.0], [1.0, 0.0]]))))
+    for w in (pair, grid3):
+        assert PrecisionOps(w, evaluations=0).eigenvalues is None
+
+
 def test_lu_backend_refuses_rho_outside_unit_interval(grid4):
-    ops = PrecisionOps(grid4, exact_max_n=1)
+    ops = PrecisionOps(grid4, evaluations=0)
     with pytest.raises(np.linalg.LinAlgError, match="rho=1.5"):
         ops.logdet_m(1.5)
 

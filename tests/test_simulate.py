@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_config_json_round_trip():
     assert back == cfg
     mar = SimConfig(side=5, mechanism=MarMechanism(missing_fraction=0.25), seed=2)
     assert SimConfig.from_json(mar.to_json()) == mar
+
+
+def test_config_takes_left_out_keys_from_the_dataclass():
+    mech = MnarMechanism(psi_0=1.0, psi_xstar=0.5, psi_y=-0.2, covariate_index=2)
+    doc = {"side": 6, "mechanism": {"kind": "MNAR", "psi_0": 1.0, "psi_xstar": 0.5,
+                                    "psi_y": -0.2, "covariate_index": 2}}
+    parsed = SimConfig.from_json(json.dumps(doc))
+    default = SimConfig(side=6, mechanism=mech)
+    for f in fields(SimConfig):
+        assert getattr(parsed, f.name) == getattr(default, f.name), f.name
 
 
 def test_config_validation():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from spatialvb import (AdadeltaState, HmcConfig, McmcConfig, PrecisionOps,
+from spatialvb import (AdadeltaState, HmcConfig, McmcConfig,
                        TargetDensity, VParams, adadelta_step,
                        draw_variational, hvb_fit,
                        hvb_gradient_estimate, jvb_fit, jvb_gradient_estimate,
@@ -436,10 +436,10 @@ def test_hmc_fit_on_lu_backend_matches_spectrum(grid4):
     x, _, y, pattern, _ = random_instance(grid4, 30, missing=0.25)
     cfg = HmcConfig(n_samples=40, n_leapfrog=5, step_size=0.1, burn_in=10)
     results = []
-    for exact_max_n in (1, 2500):
+    for evaluations in (0, 10_000):
         target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
-                               pattern=pattern, mechanism="mar")
-        target.ops = PrecisionOps(grid4, exact_max_n=exact_max_n)
+                               pattern=pattern, mechanism="mar",
+                               evaluations=evaluations)
         results.append(hmc_fit(target, cfg, default_init_theta(target),
                                np.random.default_rng(5)))
     lu, spectrum = results

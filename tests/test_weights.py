@@ -4,7 +4,7 @@ from scipy import sparse
 
 from spatialvb import build_rook_grid_weights, rho_interval, row_normalize
 from spatialvb.weights import (DegenerateUnitError, SpatialWeights,
-                               weight_eigenvalues)
+                               spectrum_bandwidth, weight_eigenvalues)
 
 
 def neighbour_counts(w):
@@ -119,6 +119,53 @@ def test_weight_eigenvalues_match_nonsymmetric_solve():
     w = row_normalize(SpatialWeights(matrix=(c + c.T).tocsr()))
     dense = np.sort(np.linalg.eigvals(w.matrix.toarray()).real)
     np.testing.assert_allclose(weight_eigenvalues(w), dense, atol=1e-13)
+
+
+def _dense_spectrum(w):
+    m = w.matrix
+    return np.linalg.eigvalsh(m.multiply(m.T).sqrt().toarray())
+
+
+def _random_symmetric(pattern, rng):
+    """Random positive symmetric values on the symmetric pattern of a 0/1 matrix."""
+    upper = sparse.triu(pattern, k=1).tocoo()
+    c = sparse.coo_matrix((rng.uniform(0.2, 3.0, upper.nnz), (upper.row, upper.col)),
+                          shape=pattern.shape)
+    return (c + c.T).tocsr()
+
+
+def test_banded_spectrum_matches_dense_on_an_irregular_graph():
+    # Delaunay triangulation of random points: irregular degrees, odd cycles
+    from scipy.spatial import Delaunay
+    rng = np.random.default_rng(11)
+    tri = Delaunay(rng.uniform(size=(400, 2)))
+    edges = np.concatenate([tri.simplices[:, [a, b]]
+                            for a, b in ((0, 1), (1, 2), (0, 2))])
+    adj = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                            shape=(400, 400)).tocsr()
+    adj = ((adj + adj.T) > 0).astype(float)
+    w = row_normalize(SpatialWeights(matrix=_random_symmetric(adj, rng)))
+    np.testing.assert_allclose(weight_eigenvalues(w), _dense_spectrum(w), rtol=0,
+                               atol=1e-13)
+
+
+def test_banded_spectrum_matches_dense_on_a_disconnected_graph():
+    # grids of sides 5 and 8 plus a two-unit component
+    pair = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    raw = sparse.block_diag([build_rook_grid_weights(5).matrix, pair,
+                             build_rook_grid_weights(8).matrix], format="csr")
+    w = row_normalize(SpatialWeights(matrix=raw))
+    lam = weight_eigenvalues(w)
+    np.testing.assert_allclose(lam, _dense_spectrum(w), rtol=0, atol=1e-13)
+    # one eigenvalue 1 per component
+    assert np.sum(np.abs(lam - 1.0) < 1e-12) == 3
+
+
+def test_banded_spectrum_matches_dense_on_a_rook_grid():
+    w = row_normalize(build_rook_grid_weights(40))
+    assert spectrum_bandwidth(w) == 40
+    np.testing.assert_allclose(weight_eigenvalues(w), _dense_spectrum(w), rtol=0,
+                               atol=1e-13)
 
 
 def test_weight_eigenvalues_reject_non_reversible_weights():
