@@ -29,6 +29,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_rows(mat: np.ndarray):
+    """Rows of ``mat`` as lists of ``_fmt`` strings, each row read through
+    one ``tolist`` instead of one numpy scalar per value."""
+    return (list(map(repr, row.tolist())) for row in np.asarray(mat, dtype=float))
+
+
 def check_keys(doc, where: str, known, required=()) -> dict:
     """``doc`` if it is a JSON object with no key outside ``known`` and every
     key of ``required``; otherwise a ValueError naming the offending key."""
@@ -186,8 +192,7 @@ def write_matrix(mat: np.ndarray, path, prefix: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"{prefix}{j}" for j in range(mat.shape[1])])
-        for row in mat:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(_fmt_rows(mat))
 
 
 def _raise_ragged(path, body: str, ncol: int) -> None:
@@ -358,15 +363,14 @@ def write_fit_result(res: FitResult, out_dir, version: str,
                 for t, v in enumerate(res.elbo_trace)))
     names = list(unconstrained_names)
     _trace_csv(out / "mean_trajectory.csv", ["iteration"] + names,
-               ((t, *(_fmt(v) for v in row))
-                for t, row in enumerate(res.mean_trajectory)))
+               ([t, *row] for t, row in enumerate(_fmt_rows(res.mean_trajectory))))
     _trace_csv(out / "missing_posterior.csv", ["index", "mean", "sd"],
                ((int(i), _fmt(m), _fmt(s) if np.isfinite(s) else NA_TOKEN)
                 for i, m, s in zip(res.yu_index, res.yu_mean, res.yu_sd)))
     if res.chain is not None:
         chain_names = names + [f"yu{int(i)}" for i in res.yu_index]
         _trace_csv(out / "chain.csv", chain_names,
-                   ((_fmt(v) for v in row) for row in res.chain))
+                   _fmt_rows(res.chain))
     manifest = {"kind": "fit", "method": res.method, "seed": res.seed,
                 "version": version, "dataset_digest": dataset_digest_value,
                 "config_sha256": hashlib.sha256(

@@ -214,7 +214,10 @@ class TargetDensity:
         return grad
 
     # Thin public views on one preparation pass each; none calls another, so
-    # a traced call of one is never counted inside another.
+    # a traced call of one is never counted inside another. ``grads`` skips
+    # the value, which HMC's inner leapfrog steps never read: at n = 1,600
+    # under MNAR that saves the logaddexp over all n units and the log of n
+    # pivots, about a third of a log_h_and_grads call.
 
     def log_h(self, theta: np.ndarray, y_u: np.ndarray) -> float:
         return self._value(self._prepare(theta, y_u))
@@ -224,6 +227,13 @@ class TargetDensity:
 
     def grad_log_h_yu(self, theta: np.ndarray, y_u: np.ndarray) -> np.ndarray:
         return self._grad_yu(self._prepare(theta, y_u))
+
+    def grads(self, theta: np.ndarray, y_u: np.ndarray):
+        """(grad wrt theta, grad wrt y_u) from one preparation pass, without
+        the value: no log|M_y| and, under MNAR, no selection log-probability.
+        Bit for bit the gradients of :meth:`log_h_and_grads`."""
+        s = self._prepare(theta, y_u)
+        return self._grad_theta(s), self._grad_yu(s)
 
     def log_h_and_grads(self, theta: np.ndarray, y_u: np.ndarray):
         """(log h, grad wrt theta, grad wrt y_u) sharing one preparation pass."""

@@ -369,18 +369,33 @@ class HmcResult:
     log_h_trace: np.ndarray
 
 
+_EVAL_ERRORS = (ValueError, np.linalg.LinAlgError)
+
+
 def _joint_logh_grad(target, chi: np.ndarray):
     """(log h, gradient over chi = (theta, y_u)); (-inf, zeros) where log h
     cannot be evaluated or is not finite."""
     s = target.S
     try:
         val, g_t, g_u = target.log_h_and_grads(chi[:s], chi[s:])
-    except (ValueError, np.linalg.LinAlgError):
+    except _EVAL_ERRORS:
         return -np.inf, np.zeros(chi.shape[0])
     grad = np.concatenate([g_t, g_u])
     if not np.isfinite(val) or not np.all(np.isfinite(grad)):
         return -np.inf, np.zeros(chi.shape[0])
     return val, grad
+
+
+def _joint_grad(target, chi: np.ndarray) -> np.ndarray | None:
+    """Gradient of log h over chi = (theta, y_u), without log h; None where
+    it cannot be evaluated or is not finite."""
+    s = target.S
+    try:
+        g_t, g_u = target.grads(chi[:s], chi[s:])
+    except _EVAL_ERRORS:
+        return None
+    grad = np.concatenate([g_t, g_u])
+    return grad if np.all(np.isfinite(grad)) else None
 
 
 def leapfrog(target, chi: np.ndarray, s: np.ndarray, grad: np.ndarray, eps: float,
@@ -390,17 +405,27 @@ def leapfrog(target, chi: np.ndarray, s: np.ndarray, grad: np.ndarray, eps: floa
     the momentum between full steps are merged.
 
     Returns (chi', s', log h(chi'), grad'), one gradient evaluation per step.
-    At the first point whose log h is not finite the trajectory stops and
-    log h' = -inf.
+    Only the accept test reads log h, so steps 1 .. n_steps - 1 evaluate the
+    gradient alone (``target.grads``) and only the endpoint also evaluates
+    log h (``target.log_h_and_grads``). The trajectory stops as a divergence,
+    with log h' = -inf, at the first intermediate point whose gradient cannot
+    be evaluated or is not finite, or at an endpoint whose log h or gradient
+    is not finite. So an intermediate point with a finite gradient but a
+    non-finite log h (e.g. gamma > 1e154, where gamma^2 overflows in the
+    prior) does not stop it; at every other point it stops exactly where an
+    integrator that evaluates log h at every step would.
     """
     s = s + 0.5 * eps * grad
-    for step in range(n_steps):
+    for _ in range(n_steps - 1):
         chi = chi + eps * s
-        logh, grad = _joint_logh_grad(target, chi)
-        if not np.isfinite(logh):
-            return chi, s, logh, grad
-        if step < n_steps - 1:
-            s = s + eps * grad
+        grad = _joint_grad(target, chi)
+        if grad is None:
+            return chi, s, -np.inf, np.zeros(chi.shape[0])
+        s = s + eps * grad
+    chi = chi + eps * s
+    logh, grad = _joint_logh_grad(target, chi)
+    if not np.isfinite(logh):
+        return chi, s, logh, grad
     return chi, s + 0.5 * eps * grad, logh, grad
 
 
@@ -409,8 +434,10 @@ def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
     """HMC with L leapfrog steps per iteration over chi = (theta, y_u).
 
     Potential U = -log h; momenta refresh from N(0, I). A proposal is
-    accepted with probability min(1, exp(H - H*)); a trajectory that meets a
-    non-finite log h counts as a divergence and is rejected.
+    accepted with probability min(1, exp(H - H*)). A trajectory that
+    :func:`leapfrog` stops counts as a divergence and is rejected. Each
+    iteration evaluates log h once, at the endpoint, and the gradient alone
+    at the L - 1 points before it.
     """
     theta0, y_u0 = init
     chi = np.concatenate([np.asarray(theta0, float), np.asarray(y_u0, float)])

@@ -1,13 +1,15 @@
-"""The MNAR Metropolis loops as they were before their per-call caches:
-every proposal recomputes x*[idx] psi_x and the selection term of the
-current block. Kept as the reference that ``spatialvb.samplers`` must
-reproduce exactly at a fixed seed."""
+"""Samplers as they were before a per-call saving, kept as the references
+that ``spatialvb.samplers`` must reproduce exactly at a fixed seed: the MNAR
+Metropolis loops before their caches (every proposal recomputes x*[idx]
+psi_x and the selection term of the current block), and HMC before its
+inner leapfrog steps stopped evaluating log h."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from spatialvb.samplers import _Conditionals, mar_conditional, sample_conditional
+from spatialvb.samplers import (_Conditionals, _joint_logh_grad, mar_conditional,
+                                sample_conditional)
 
 
 def _missing_sel_terms(y_vals, idx, sel) -> float:
@@ -61,3 +63,44 @@ def mcmc_block_uncached(phi, sel, y_o, partition, x, plan, scheme, n1, rng,
     with np.errstate(invalid="ignore"):
         rates = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)
     return y[plan.pattern.unobserved_idx], rates
+
+
+def leapfrog_every_logh(target, chi, s, grad, eps, n_steps):
+    """The leapfrog as it was before its inner steps went gradient-only:
+    log h and its gradient at every step, stopping at the first non-finite
+    log h."""
+    s = s + 0.5 * eps * grad
+    for step in range(n_steps):
+        chi = chi + eps * s
+        logh, grad = _joint_logh_grad(target, chi)
+        if not np.isfinite(logh):
+            return chi, s, logh, grad
+        if step < n_steps - 1:
+            s = s + eps * grad
+    return chi, s + 0.5 * eps * grad, logh, grad
+
+
+def hmc_run_every_logh(target, cfg, init, rng):
+    """``hmc_run`` on :func:`leapfrog_every_logh`; returns (chain, log h
+    trace, accepted, divergences)."""
+    chi = np.concatenate([np.asarray(init[0], float), np.asarray(init[1], float)])
+    logh, grad = _joint_logh_grad(target, chi)
+    chain = np.empty((cfg.n_samples, chi.shape[0]))
+    logh_trace = np.empty(cfg.n_samples)
+    accepted = divergences = 0
+    for it in range(cfg.burn_in + cfg.n_samples):
+        s = rng.standard_normal(chi.shape[0])
+        ham0 = -logh + 0.5 * float(s @ s)
+        chi_new, s_new, logh_new, grad_new = leapfrog_every_logh(
+            target, chi, s, grad, cfg.step_size, cfg.n_leapfrog)
+        if np.isfinite(logh_new):
+            ham1 = -logh_new + 0.5 * float(s_new @ s_new)
+            if np.isfinite(ham1) and np.log(rng.random()) < ham0 - ham1:
+                chi, grad, logh = chi_new, grad_new, logh_new
+                accepted += 1
+        else:
+            divergences += 1
+        if it >= cfg.burn_in:
+            chain[it - cfg.burn_in] = chi
+            logh_trace[it - cfg.burn_in] = logh
+    return chain, logh_trace, accepted, divergences

@@ -304,3 +304,31 @@ def test_fused_evaluation_equals_its_public_pieces_exactly(grid4, mechanism):
         np.testing.assert_array_equal(target.grad_log_h_theta(theta, y_u), g_theta)
         np.testing.assert_array_equal(target.grad_log_h_yu(theta, y_u), g_yu)
 
+
+
+@pytest.mark.parametrize("evaluations", [0, 10_000])
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+@pytest.mark.parametrize("no_missing", [False, True])
+def test_gradient_only_evaluation_equals_log_h_and_grads_exactly(
+        grid7, mechanism, no_missing, evaluations):
+    # HMC's inner leapfrog steps call grads; it must give the gradients of
+    # log_h_and_grads to the last bit on both trace backends
+    from spatialvb import MissingPattern
+    target, theta, y_u, (x, _, y, pattern, sel) = make_target(
+        grid7, 11, mechanism=mechanism, evaluations=evaluations)
+    if no_missing:
+        target = TargetDensity(x=x, weights=grid7, y_obs=y,
+                               pattern=MissingPattern(m=np.zeros(grid7.n, dtype=np.int8)),
+                               mechanism=mechanism,
+                               x_star=sel.x_star if sel else None,
+                               evaluations=evaluations)
+        y_u = np.empty(0)
+    assert (target.ops.eigenvalues is None) == (evaluations == 0)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        point = theta + 0.3 * rng.standard_normal(theta.shape)
+        _, g_theta, g_yu = target.log_h_and_grads(point, y_u)
+        got_theta, got_yu = target.grads(point, y_u)
+        np.testing.assert_array_equal(got_theta, g_theta)
+        np.testing.assert_array_equal(got_yu, g_yu)
+        assert got_yu.shape == (target.n_u,)

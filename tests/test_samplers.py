@@ -428,6 +428,9 @@ class StandardGaussian:
     def log_h_and_grads(self, theta, y_u):
         return -0.5 * float(theta @ theta), -theta, np.empty(0)
 
+    def grads(self, theta, y_u):
+        return -theta, np.empty(0)
+
 
 def test_hmc_standard_gaussian_moments():
     cfg = HmcConfig(n_samples=20_000, n_leapfrog=12, step_size=0.4, burn_in=500)
@@ -534,3 +537,92 @@ def test_cached_metropolis_equals_the_uncached_loop(scheme):
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert 0.0 < np.nanmean(got[1]) < 1.0   # both branches were taken
+
+
+def _mnar_sem_target(evaluations):
+    from spatialvb import TargetDensity
+    w = row_normalize(build_rook_grid_weights(6))
+    x, params, y, pattern, _ = random_instance(w, 31, missing=0.5)
+    sel = random_selection(w.n, 41, psi_y=-0.8)
+    target = TargetDensity(x=x, weights=w, y_obs=y[pattern.observed_idx],
+                           pattern=pattern, mechanism="mnar", x_star=sel.x_star,
+                           evaluations=evaluations)
+    return target, (target.unconstrain(params, sel.psi), y[pattern.unobserved_idx])
+
+
+@pytest.mark.parametrize("evaluations", [0, 10_000])
+def test_leapfrog_and_hmc_equal_the_every_step_log_h_reference(evaluations):
+    # the inner leapfrog steps evaluate only the gradient of log h; at a fixed
+    # seed the integrator and the chain must reproduce, bit for bit, the loop
+    # that evaluated log h at every step, accepted and diverging alike
+    from reference_samplers import hmc_run_every_logh, leapfrog_every_logh
+    from spatialvb.samplers import _joint_logh_grad
+    target, init = _mnar_sem_target(evaluations)
+    chi0 = np.concatenate(init)
+    _, grad0 = _joint_logh_grad(target, chi0)
+    rng = np.random.default_rng(6)
+    stopped = 0
+    for eps in (0.02, 0.1, 0.4, 0.8):
+        s0 = rng.standard_normal(chi0.shape[0])
+        got = leapfrog(target, chi0, s0, grad0, eps, 10)
+        want = leapfrog_every_logh(target, chi0, s0, grad0, eps, 10)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        stopped += not np.isfinite(got[2])
+    assert stopped > 0
+    for eps, accepted in ((0.05, True), (0.4, False)):
+        cfg = HmcConfig(n_samples=30, n_leapfrog=10, step_size=eps, burn_in=5)
+        res = hmc_run(target, cfg, init, np.random.default_rng(5))
+        chain, logh_trace, n_acc, n_div = hmc_run_every_logh(
+            target, cfg, init, np.random.default_rng(5))
+        np.testing.assert_array_equal(res.chain, chain)
+        np.testing.assert_array_equal(res.log_h_trace, logh_trace)
+        assert res.accept_rate == n_acc / 35
+        assert res.divergences == n_div
+        assert (n_acc > 0) if accepted else (n_div > 0)
+
+
+class _CallLog(StandardGaussian):
+    def __init__(self):
+        self.log = []
+
+    def log_h_and_grads(self, theta, y_u):
+        self.log.append("log_h_and_grads")
+        return super().log_h_and_grads(theta, y_u)
+
+    def grads(self, theta, y_u):
+        self.log.append("grads")
+        return super().grads(theta, y_u)
+
+
+def test_leapfrog_evaluates_log_h_only_at_the_endpoint():
+    target = _CallLog()
+    chi, s = np.array([0.3, -0.2]), np.array([1.0, 0.5])
+    for n_steps in (1, 4):
+        target.log.clear()
+        leapfrog(target, chi, s, -chi, 0.1, n_steps)
+        assert target.log == ["grads"] * (n_steps - 1) + ["log_h_and_grads"]
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError, None])
+def test_failure_on_an_inner_step_stops_the_trajectory(error):
+    # calls 0-2 are the inner steps of a 4-step trajectory, call 3 its
+    # endpoint; a raise or a NaN gradient on call 1 ends it there
+    from toy_targets import FailingTarget
+    target = FailingTarget({1}, error)
+    chi, s = np.array([0.3, -0.2, 0.1]), np.array([1.0, 0.5, -0.5])
+    out_chi, _, logh, grad = leapfrog(target, chi, s, -chi, 0.1, 4)
+    assert target.calls == 2
+    assert logh == -np.inf
+    np.testing.assert_array_equal(grad, np.zeros(3))
+    # in hmc_run: call 0 is the initial point, calls 1-4 the first trajectory;
+    # failing its second inner step rejects it as a divergence, and the
+    # later trajectories run in full
+    target = FailingTarget({2}, error)
+    cfg = HmcConfig(n_samples=3, n_leapfrog=4, step_size=0.1, burn_in=0)
+    res = hmc_run(target, cfg, (chi, np.empty(0)), np.random.default_rng(0))
+    assert res.divergences == 1
+    assert target.calls == 1 + 2 + 4 + 4
+    np.testing.assert_array_equal(res.chain[0], chi)
+    assert res.log_h_trace[0] == target.log_h_and_grads(chi, np.empty(0))[0]
+    assert res.accept_rate <= 2 / 3

@@ -164,7 +164,7 @@ def test_lu_backend_is_exact(side):
             _dense_trace_oracle(w, rho), rel=1e-10)
 
 
-def test_lu_trace_is_the_derivative_of_the_logdet_above_cutoff():
+def test_lu_trace_is_the_derivative_of_the_logdet_on_a_short_fit():
     # n = 3,600 (bw 60) with 20 planned evaluations: the rule picks the LU
     w = row_normalize(build_rook_grid_weights(60))
     ops = PrecisionOps(w, evaluations=20)

@@ -90,7 +90,7 @@ def test_rho_interval_requires_normalization():
         rho_interval(build_rook_grid_weights(3))
 
 
-def test_rho_interval_bipartite_grid_is_exact_above_dense_cutoff():
+def test_rho_interval_bipartite_grid_is_exact_with_no_eigensolve():
     # 60 x 60 rook grid: bipartite, so -1 exactly and no eigensolve at n = 3,600
     lo, hi = rho_interval(row_normalize(build_rook_grid_weights(60)))
     assert lo == -1.0

@@ -33,6 +33,12 @@ class GaussianTarget:
         grad = -(self.prec @ dev)
         return logh, grad[:self.S], grad[self.S:]
 
+    def grads(self, theta, y_u):
+        """The gradients of log_h_and_grads alone, as HMC's inner leapfrog
+        steps ask for them; subclasses that override log_h_and_grads get the
+        matching gradients (and call counts) for free."""
+        return self.log_h_and_grads(theta, y_u)[1:]
+
     def constrain(self, arr):
         return np.array(arr, dtype=float, copy=True)
 
@@ -54,8 +60,10 @@ class ZeroTarget(GaussianTarget):
 
 
 class FailingTarget(GaussianTarget):
-    """Standard normal over 3 coordinates whose log_h_and_grads raises
-    ``error`` on the chosen calls, counted from 0."""
+    """Standard normal over 3 coordinates whose evaluations fail on the
+    chosen calls, counted from 0 over log_h_and_grads and grads together:
+    they raise ``error`` or, with ``error=None``, return a finite log h with
+    a NaN gradient."""
 
     def __init__(self, fail_calls, error=ValueError):
         super().__init__(np.zeros(3), np.eye(3))
@@ -66,5 +74,7 @@ class FailingTarget(GaussianTarget):
     def log_h_and_grads(self, theta, y_u):
         call, self.calls = self.calls, self.calls + 1
         if call in self.fail_calls:
+            if self.error is None:
+                return 0.0, np.full(self.S, np.nan), np.zeros(self.n_u)
             raise self.error(f"forced failure on call {call}")
         return super().log_h_and_grads(theta, y_u)
