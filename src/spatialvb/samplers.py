@@ -8,12 +8,14 @@ Every conditional draw of y_u or of one of its blocks takes the fit's
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .missing import BlockPartition, MissingPattern, SelectionModel
@@ -32,53 +34,54 @@ def _lapack_check(routine: str, info: int, rho: float | None = None) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
 
 
+def _csr_dot(a: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """a @ v by scipy's compiled CSR kernel, the one ``a @ v`` ends in: for
+    the rows of a block, the Python dispatch of ``a @ v`` takes longer than
+    the product itself."""
+    out = np.zeros(a.shape[0])
+    _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v, out)
+    return out
+
+
 class GmrfFactor:
     """Banded Cholesky factor of a principal block M[idx, idx] of a sparse
     symmetric positive definite M with a fixed pattern (Rue 2001; Rue & Held
     2005, ch. 2).
 
     Construction does the symbolic work once per index set: a reverse
-    Cuthill-McKee order ``perm`` of the block's graph, its bandwidth ``bw``,
-    and the positions, in the data array of ``pattern``, of the band entries
-    and of the rows M[idx, :]. ``pattern`` must store each entry once
-    (canonical CSR). The numeric methods take ``data``, the values of M laid
-    out on that pattern. With P the permutation that lists idx in
-    ``perm`` order, P M[idx, idx] P^T = L L^T; L is held as a LAPACK lower
-    band of shape (bw + 1, len(idx)).
+    Cuthill-McKee order ``perm`` of the block's graph, the units in that
+    order, ``order = idx[perm]``, the bandwidth ``bw``, and the positions, in
+    the data array of ``pattern``, of the band entries and of the rows
+    M[order, :]. ``pattern`` must store each entry once (canonical CSR). The
+    numeric methods take ``data``, the values of M laid out on that pattern,
+    and work in factor order, i.e. on vectors indexed like ``order``. With P
+    the permutation that lists idx in ``perm`` order,
+    P M[idx, idx] P^T = L L^T; L is held as a LAPACK lower band of shape
+    (bw + 1, len(idx)).
     """
 
     def __init__(self, pattern: sparse.csr_matrix, idx: np.ndarray):
         idx = np.asarray(idx, dtype=np.intp)
         if idx.size == 0:
             raise ValueError("GMRF factor of an empty index set")
-        size = idx.size
-        starts = pattern.indptr[idx]
-        counts = pattern.indptr[idx + 1] - starts
-        offsets = np.cumsum(counts) - counts
-        src = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        # 1 + the position of each entry in the data array of ``pattern``, so
+        # that row and column selections carry the positions with them
+        pos = sparse.csr_matrix((np.arange(1, pattern.nnz + 1), pattern.indices,
+                                 pattern.indptr), shape=pattern.shape)
         self.idx = idx
         self._nnz = pattern.nnz
-        self._row_of = np.repeat(np.arange(size), counts)
-        self._row_src = src
-        self._row_cols = pattern.indices[src]
-        local = np.full(pattern.shape[0], -1, dtype=np.intp)
-        local[idx] = np.arange(size)
-        col = local[self._row_cols]
-        inside = col >= 0
-        row, col, src = self._row_of[inside], col[inside], src[inside]
-        graph = sparse.csr_matrix(
-            (np.ones(row.size), col,
-             np.concatenate([[0], np.cumsum(np.bincount(row, minlength=size))])),
-            shape=(size, size))
-        self.perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
-        rank = np.empty(size, dtype=np.intp)
-        rank[self.perm] = np.arange(size)
-        i, j = rank[row], rank[col]
+        self.perm = reverse_cuthill_mckee(pos[idx][:, idx],
+                                          symmetric_mode=True).astype(np.intp)
+        self.order = idx[self.perm]
+        self._rows = pos[self.order]   # :meth:`rows` replaces its values
+        self._row_src = self._rows.data - 1
+        band = self._rows[:, self.order].tocoo()
+        i, j = band.row, band.col
         lower = i >= j
         self.bw = int(np.max(i - j))
         # LAPACK lower band, column-major: L[i, j] sits at (i - j) + j (bw + 1)
         self._band_pos = (i - j + j * (self.bw + 1))[lower]
-        self._band_src = src[lower]
+        self._band_src = band.data[lower] - 1
 
     def _check(self, data: np.ndarray) -> None:
         if data.shape != (self._nnz,):
@@ -96,31 +99,20 @@ class GmrfFactor:
         _lapack_check("dpbtrf", info, rho)
         return band
 
-    def solve(self, band: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """M[idx, idx]^{-1} b."""
-        x, info = dpbtrs(band, b[self.perm], lower=1)
-        _lapack_check("dpbtrs", info)
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
-
-    def correlate(self, band: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """P^T L^{-T} z: covariance M[idx, idx]^{-1} for standard-normal z."""
-        x, info = dtbtrs(band, z, uplo="L", trans="T")
-        _lapack_check("dtbtrs", info)
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
-
-    def rows(self, data: np.ndarray) -> np.ndarray:
-        """The stored entries of M[idx, :], row by row, for :meth:`rows_dot`."""
+    def rows(self, data: np.ndarray) -> sparse.csr_matrix:
+        """M[order, :] for the values ``data``: a CSR matrix whose index
+        arrays are shared by every call."""
         self._check(data)
-        return data[self._row_src]
+        out = copy.copy(self._rows)
+        out.data = data[self._row_src]
+        return out
 
-    def rows_dot(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """M[idx, :] v, with ``rows`` from :meth:`rows`."""
-        return np.bincount(self._row_of, weights=rows * v[self._row_cols],
-                           minlength=self.idx.size)
+    @staticmethod
+    def triangular(band: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
+        """L^{-1} b for ``trans`` "N", L^{-T} b for "T"."""
+        x, info = dtbtrs(band, b, uplo="L", trans=trans)
+        _lapack_check("dtbtrs", info)
+        return x
 
 
 class GmrfPlan:
@@ -161,34 +153,35 @@ class ConditionalGaussian:
 
 class _Conditionals:
     """Banded factors of the blocks M_SS of M_y at one rho, for the
-    conditional of y_S given the other units, S = ``factors[j].idx``.
+    conditional of y_S given the other units, S = ``factors[j].order``.
 
-    Uses mean_S = y_S - M_SS^{-1} (M[S, :] r) with r = y - X beta, which
-    equals the textbook partitioned form X_S beta - M_SS^{-1} M_S,rest r_rest
-    and only needs the rows of the block per visit.
+    With r = y - X beta and c = M[S, :] r, the conditional mean is
+    y_S - M_SS^{-1} c, which equals the textbook partitioned form
+    X_S beta - M_SS^{-1} M_S,rest r_rest and only needs the rows of the
+    block per visit. Everything per block is held in factor order, so a
+    visit permutes nothing.
     """
 
     def __init__(self, phi: SemParams, x: np.ndarray, plan: GmrfPlan,
                  factors: list[GmrfFactor]):
-        self.phi = phi
         self.xb = x @ phi.beta
-        self.m_data = plan.precision.data(phi.rho)
+        m_data = plan.precision.data(phi.rho)
         self.factors = factors
-        self.bands = [f.cholesky(self.m_data, phi.rho) for f in factors]
+        self.bands = [f.cholesky(m_data, phi.rho) for f in factors]
         # per block, what stays fixed across visits at this phi
-        self.rows = [f.rows(self.m_data) for f in factors]
-        self.xb_blocks = [self.xb[f.idx] for f in factors]
+        self.rows = [f.rows(m_data) for f in factors]
+        self.xb_blocks = [self.xb[f.order] for f in factors]
         self.scale = np.sqrt(phi.sigma2_y)
 
-    def mean(self, j: int, resid: np.ndarray) -> np.ndarray:
-        f, band = self.factors[j], self.bands[j]
-        return (resid[f.idx] + self.xb_blocks[j]
-                - f.solve(band, f.rows_dot(self.rows[j], resid)))
-
     def draw(self, j: int, resid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """A draw of y_S, in factor order, from the canonical form (Rue & Held
+        2005, sec. 2.3): y_S - L^{-T} (L^{-1} c - sqrt(sigma2) z), i.e. the
+        mean y_S - M_SS^{-1} c plus sqrt(sigma2) L^{-T} z, for the cost of
+        two triangular solves."""
         f, band = self.factors[j], self.bands[j]
-        z = rng.standard_normal(f.idx.size)
-        return self.mean(j, resid) + self.scale * f.correlate(band, z)
+        z = rng.standard_normal(f.order.size)
+        w = f.triangular(band, _csr_dot(self.rows[j], resid), "N") - self.scale * z
+        return resid[f.order] + self.xb_blocks[j] - f.triangular(band, w, "T")
 
 
 def mar_conditional(phi: SemParams, y_o: np.ndarray, x: np.ndarray,
@@ -203,14 +196,20 @@ def mar_conditional(phi: SemParams, y_o: np.ndarray, x: np.ndarray,
     resid = np.zeros(work.xb.shape)
     obs = plan.pattern.observed_idx
     resid[obs] = np.asarray(y_o, dtype=float) - work.xb[obs]
-    return ConditionalGaussian(mean=work.mean(0, resid), chol_lower=work.bands[0],
-                               sigma2=phi.sigma2_y, factor=plan.unobserved)
+    f, band = plan.unobserved, work.bands[0]
+    w = f.triangular(band, _csr_dot(work.rows[0], resid), "N")
+    mean = np.empty(f.idx.size)
+    mean[f.perm] = work.xb_blocks[0] - f.triangular(band, w, "T")
+    return ConditionalGaussian(mean=mean, chol_lower=band, sigma2=phi.sigma2_y,
+                               factor=f)
 
 
 def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.ndarray:
     """Exact draw: mean + sqrt(sigma2) P^T L^{-T} z with z standard normal."""
     z = rng.standard_normal(cg.mean.shape[0])
-    return cg.mean + np.sqrt(cg.sigma2) * cg.factor.correlate(cg.chol_lower, z)
+    corr = np.empty(z.shape)
+    corr[cg.factor.perm] = cg.factor.triangular(cg.chol_lower, z, "T")
+    return cg.mean + np.sqrt(cg.sigma2) * corr
 
 
 def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
@@ -226,8 +225,8 @@ def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
     for _ in range(n1):
         for j, f in enumerate(work.factors):
             draw = work.draw(j, resid, rng)
-            y[f.idx] = draw
-            resid[f.idx] = draw - work.xb_blocks[j]
+            y[f.order] = draw
+            resid[f.order] = draw - work.xb_blocks[j]
     return y[plan.pattern.unobserved_idx]
 
 
@@ -288,8 +287,8 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
     resid = y - work.xb
     # psi is fixed within the call, and the selection term of a block's
     # current state changes only when a proposal for that block is accepted
-    x_psi = [sel.x_star[f.idx] @ sel.psi_x for f in work.factors]
-    log_sel = [_missing_sel_terms(x_psi[j], sel.psi_y, y[f.idx])
+    x_psi = [sel.x_star[f.order] @ sel.psi_x for f in work.factors]
+    log_sel = [_missing_sel_terms(x_psi[j], sel.psi_y, y[f.order])
                for j, f in enumerate(work.factors)]
     proposed = np.zeros(k, dtype=np.int64)
     accepted = np.zeros(k, dtype=np.int64)
@@ -303,7 +302,7 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
             log_sel_prop = _missing_sel_terms(x_psi[j], sel.psi_y, proposal)
             proposed[j] += 1
             if np.log(rng.random()) < log_sel_prop - log_sel[j]:
-                idx = work.factors[j].idx
+                idx = work.factors[j].order
                 y[idx] = proposal
                 resid[idx] = proposal - work.xb_blocks[j]
                 log_sel[j] = log_sel_prop

@@ -51,7 +51,7 @@ def mcmc_block_uncached(phi, sel, y_o, partition, x, plan, scheme, n1, rng,
         else:
             visit = rng.choice(k, size=k_prime, replace=False)
         for j in visit:
-            idx = work.factors[j].idx
+            idx = work.factors[j].order
             proposal = work.draw(j, resid, rng)
             log_ratio = (_missing_sel_terms(proposal, idx, sel)
                          - _missing_sel_terms(y[idx], idx, sel))
