@@ -15,12 +15,11 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dtbtrs
-from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .missing import BlockPartition, MissingPattern, SelectionModel
 from .sem import PrecisionPattern, SemParams
-from .weights import SpatialWeights
+from .weights import SpatialWeights, csr_dot
 
 
 def _lapack_check(routine: str, info: int, rho: float | None = None) -> None:
@@ -32,15 +31,6 @@ def _lapack_check(routine: str, info: int, rho: float | None = None) -> None:
             f"{routine} info={info})")
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
-
-
-def _csr_dot(a: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """a @ v by scipy's compiled CSR kernel, the one ``a @ v`` ends in: for
-    the rows of a block, the Python dispatch of ``a @ v`` takes longer than
-    the product itself."""
-    out = np.zeros(a.shape[0])
-    _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v, out)
-    return out
 
 
 class GmrfFactor:
@@ -180,7 +170,7 @@ class _Conditionals:
         two triangular solves."""
         f, band = self.factors[j], self.bands[j]
         z = rng.standard_normal(f.order.size)
-        w = f.triangular(band, _csr_dot(self.rows[j], resid), "N") - self.scale * z
+        w = f.triangular(band, csr_dot(self.rows[j], resid), "N") - self.scale * z
         return resid[f.order] + self.xb_blocks[j] - f.triangular(band, w, "T")
 
 
@@ -197,7 +187,7 @@ def mar_conditional(phi: SemParams, y_o: np.ndarray, x: np.ndarray,
     obs = plan.pattern.observed_idx
     resid[obs] = np.asarray(y_o, dtype=float) - work.xb[obs]
     f, band = plan.unobserved, work.bands[0]
-    w = f.triangular(band, _csr_dot(work.rows[0], resid), "N")
+    w = f.triangular(band, csr_dot(work.rows[0], resid), "N")
     mean = np.empty(f.idx.size)
     mean[f.perm] = work.xb_blocks[0] - f.triangular(band, w, "T")
     return ConditionalGaussian(mean=mean, chol_lower=band, sigma2=phi.sigma2_y,

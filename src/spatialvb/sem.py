@@ -105,7 +105,9 @@ _COMPLEX_STEP = 1e-30
 #     bw       25     40     50     60     70     100
 #     count 10-11  38-40  59-70    128 114-182 313-466
 # Both costs follow from n and bw alone, so the choice never reads a clock
-# and a fixed-seed fit always takes the same backend.
+# and a fixed-seed fit always takes the same backend. They ignore that an LU
+# slows at small |rho|, as subnormals appear (fits start at 0.01): at n =
+# 10,000, 31 ms at rho = 0.5, 47-53 ms at 0.02-0.01, 69-73 ms at +-0.001.
 _BAND_ENTRIES_PER_LU = 2_000
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvals_banded
-from scipy.sparse import csgraph
+from scipy.sparse import _sparsetools, csgraph
 
 
 # a row-normalised W has every nonempty row summing to 1 within this
@@ -21,6 +21,26 @@ def row_sum_gap(m: sparse.csr_matrix) -> float:
     return float(np.max(np.abs(sums[occupied] - 1.0), initial=0.0))
 
 
+def csr_dot(a: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """a @ v for float64 CSR a and float64 v, by the compiled kernel that
+    ``a @ v`` ends in, without its Python dispatch, which at the size of one
+    evaluation of log h or one block costs as much as the product."""
+    if v.shape != a.shape[1:]:  # the kernel would read past a short v
+        raise ValueError(f"vector of shape {v.shape} for a matrix of shape {a.shape}")
+    out = np.zeros(a.shape[0])
+    _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v, out)
+    return out
+
+
+def csr_dot_t(a: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """a.T @ v likewise: a's arrays are the CSC form of a.T."""
+    if v.shape != a.shape[:1]:
+        raise ValueError(f"vector of shape {v.shape} for the transpose of {a.shape}")
+    out = np.zeros(a.shape[1])
+    _sparsetools.csc_matvec(*a.shape[::-1], a.indptr, a.indices, a.data, v, out)
+    return out
+
+
 class DegenerateUnitError(ValueError):
     """A spatial unit has no neighbours (empty weight-matrix row)."""
 
@@ -29,8 +49,8 @@ class DegenerateUnitError(ValueError):
 class SpatialWeights:
     """Sparse n x n neighbourhood matrix with zero diagonal.
 
-    The stored matrix may be raw (symmetric 0/1-style adjacency) or
-    row-normalized; the sparsity pattern is symmetric in either case.
+    The matrix, raw (symmetric 0/1-style adjacency) or row-normalized, has a
+    symmetric sparsity pattern and is held as canonical float64 CSR.
     """
 
     matrix: sparse.csr_matrix
@@ -38,6 +58,11 @@ class SpatialWeights:
 
     def __post_init__(self):
         m = self.matrix
+        if not (isinstance(m, sparse.csr_matrix) and m.dtype == np.float64
+                and m.has_canonical_format):
+            m = sparse.csr_matrix(m, dtype=np.float64, copy=True)
+            m.sum_duplicates()
+            object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"weight matrix must be square, got {m.shape}")
         if m.diagonal().any():
@@ -63,34 +88,24 @@ def build_rook_grid_weights(side: int) -> SpatialWeights:
     """
     if side < 2:
         raise ValueError(f"grid side must be at least 2, got {side}")
-    n = side * side
-    rows, cols = [], []
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            if c + 1 < side:
-                rows += [i, i + 1]
-                cols += [i + 1, i]
-            if r + 1 < side:
-                j = i + side
-                rows += [i, j]
-                cols += [j, i]
-    data = np.ones(len(rows))
-    m = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    unit = np.arange(side * side).reshape(side, side)
+    a = np.r_[unit[:, :-1].ravel(), unit[:-1].ravel()]  # each edge from its
+    b = np.r_[unit[:, 1:].ravel(), unit[1:].ravel()]     # left or upper end
+    m = sparse.csr_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])),
+                          shape=(unit.size, unit.size))
     return SpatialWeights(matrix=m, row_normalized=False)
 
 
 def row_normalize(w: SpatialWeights) -> SpatialWeights:
     """Scale each row to sum to 1; the sparsity pattern is unchanged."""
-    m = w.matrix.tocsr()
-    sums = np.asarray(m.sum(axis=1)).ravel()
-    empty = np.flatnonzero(np.diff(m.indptr) == 0)
+    sums = np.asarray(w.matrix.sum(axis=1)).ravel()
+    empty = np.flatnonzero(np.diff(w.matrix.indptr) == 0)
     if empty.size:
         raise DegenerateUnitError(
             f"unit {empty[0]} has no neighbours; cannot row-normalize"
         )
     inv = sparse.diags(1.0 / sums)
-    return SpatialWeights(matrix=(inv @ m).tocsr(), row_normalized=True)
+    return SpatialWeights(matrix=(inv @ w.matrix).tocsr(), row_normalized=True)
 
 
 def _spanning_forest(m: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ import pytest
 
 from spatialvb import PriorSpec, SemParams, TargetDensity, sem_log_likelihood
 
-from conftest import random_instance, random_selection
+from conftest import (delaunay_weights, random_instance, random_selection,
+                      weights_in_five_layouts)
 
 
 def make_target(w, seed, mechanism="mar", priors=None, psi_y=-0.2,
@@ -109,7 +110,7 @@ def test_grad_theta_matches_finite_differences(grid4, grid7, mechanism):
 def test_grad_yu_matches_finite_differences(grid4, mechanism):
     for seed in range(6):
         target, theta, y_u, _ = make_target(grid4, seed, mechanism=mechanism)
-        analytic = target.grad_log_h_yu(theta, y_u)
+        analytic = target.log_h_and_grads(theta, y_u)[2]
         fd = _fd(lambda v: target.log_h(theta, v), y_u.copy())
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-6)
 
@@ -122,7 +123,7 @@ def test_grad_yu_zero_at_zero_residual_mar(grid3):
     y_obs_fit = fitted[pattern.observed_idx]
     target_fit = TargetDensity(x=x, weights=grid3, y_obs=y_obs_fit,
                                pattern=pattern, mechanism="mar")
-    g = target_fit.grad_log_h_yu(theta_mod, fitted[pattern.unobserved_idx])
+    g = target_fit.log_h_and_grads(theta_mod, fitted[pattern.unobserved_idx])[2]
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -133,8 +134,8 @@ def test_grad_yu_mnar_reduces_to_mar_when_psi_y_zero(grid4):
     theta[-1] = 0.0
     mar_target = TargetDensity(x=x, weights=grid4, y_obs=target.y_obs,
                                pattern=target.pattern, mechanism="mar")
-    g_mnar = target.grad_log_h_yu(theta, y_u)
-    g_mar = mar_target.grad_log_h_yu(theta[:x.shape[1] + 2], y_u)
+    g_mnar = target.log_h_and_grads(theta, y_u)[2]
+    g_mar = mar_target.log_h_and_grads(theta[:x.shape[1] + 2], y_u)[2]
     np.testing.assert_allclose(g_mnar, g_mar, atol=0)
 
 
@@ -167,7 +168,7 @@ def test_directional_derivatives_joint(grid4):
         for seed in range(50):
             target, theta, y_u, _ = make_target(grid4, seed, mechanism=mechanism)
             g_t = target.grad_log_h_theta(theta, y_u)
-            g_u = target.grad_log_h_yu(theta, y_u)
+            g_u = target.log_h_and_grads(theta, y_u)[2]
             g = np.concatenate([g_t, g_u])
             for _ in range(10):
                 v = rng.standard_normal(g.size)
@@ -201,7 +202,7 @@ def test_degenerate_no_missing(grid3):
                            mechanism="mar")
     theta = target.unconstrain(params)
     assert np.isfinite(target.log_h(theta, np.empty(0)))
-    assert target.grad_log_h_yu(theta, np.empty(0)).size == 0
+    assert target.log_h_and_grads(theta, np.empty(0))[2].size == 0
 
 
 def test_log_h_and_grads_consistent(grid4):
@@ -210,7 +211,7 @@ def test_log_h_and_grads_consistent(grid4):
         val, g_t, g_u = target.log_h_and_grads(theta, y_u)
         assert val == pytest.approx(target.log_h(theta, y_u), abs=1e-12)
         np.testing.assert_allclose(g_t, target.grad_log_h_theta(theta, y_u))
-        np.testing.assert_allclose(g_u, target.grad_log_h_yu(theta, y_u))
+        np.testing.assert_allclose(g_u, target.log_h_and_grads(theta, y_u)[2])
 
 
 def test_priors_reject_nonpositive_variance():
@@ -269,9 +270,10 @@ def _log_h_and_grads_from_pieces(target, theta, y_u):
     value = (-0.5 * target.n * gamma + 0.5 * target.ops.logdet_m(rho)
              - 0.5 * exp_ng * quad - 0.5 * float(beta @ beta) / pr.var_beta
              - 0.5 * gamma ** 2 / pr.var_gamma - 0.5 * lam ** 2 / pr.var_rho_logit)
-    dm_r = -(w.T @ r) - w @ r + 2.0 * rho * (w.T @ (w @ r))
+    wr = w @ r
+    r_dm_r = -2.0 * float(r @ wr) + 2.0 * rho * float(wr @ wr)
     g_lambda = ((0.5 * target.ops.trace_minv_dm(rho)
-                 - 0.5 * exp_ng * float(r @ dm_r)) * drho_dlogit(rho)
+                 - 0.5 * exp_ng * r_dm_r) * drho_dlogit(rho)
                 - lam / pr.var_rho_logit)
     g_theta = np.concatenate([exp_ng * (target.x.T @ m_r) - beta / pr.var_beta,
                               [-0.5 * target.n + 0.5 * exp_ng * quad
@@ -302,7 +304,7 @@ def test_fused_evaluation_equals_its_public_pieces_exactly(grid4, mechanism):
         np.testing.assert_array_equal(g_yu, ref_yu)
         assert target.log_h(theta, y_u) == value
         np.testing.assert_array_equal(target.grad_log_h_theta(theta, y_u), g_theta)
-        np.testing.assert_array_equal(target.grad_log_h_yu(theta, y_u), g_yu)
+        np.testing.assert_array_equal(target.log_h_and_grads(theta, y_u)[2], g_yu)
 
 
 
@@ -332,3 +334,50 @@ def test_gradient_only_evaluation_equals_log_h_and_grads_exactly(
         np.testing.assert_array_equal(got_theta, g_theta)
         np.testing.assert_array_equal(got_yu, g_yu)
         assert got_yu.shape == (target.n_u,)
+
+
+@pytest.mark.parametrize("evaluations", [0, 10_000])
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+def test_log_h_and_grads_do_not_depend_on_the_sparse_layout_of_w(mechanism,
+                                                                 evaluations):
+    # the direct CSR kernels read W's arrays; a CSC W read as CSR would give
+    # W^T r, so every layout is stored as canonical float64 CSR first
+    from spatialvb.weights import SpatialWeights
+    csr, others = weights_in_five_layouts()
+    ref, theta, y_u, _ = make_target(SpatialWeights(csr, row_normalized=True), 3,
+                                     mechanism=mechanism, evaluations=evaluations)
+    expected = ref.log_h_and_grads(theta, y_u)
+    for m in others:
+        target, _, _, _ = make_target(SpatialWeights(m, row_normalized=True), 3,
+                                      mechanism=mechanism, evaluations=evaluations)
+        value, g_theta, g_yu = target.log_h_and_grads(theta, y_u)
+        assert value == expected[0]
+        np.testing.assert_array_equal(g_theta, expected[1])
+        np.testing.assert_array_equal(g_yu, expected[2])
+
+
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+@pytest.mark.parametrize("graph", ["rook", "delaunay"])
+def test_rho_gradient_uses_the_exact_quadratic_form_of_dm(grid7, graph, mechanism):
+    # g_lambda reads r^T (dM/drho) r as -2 r.Wr + 2 rho |Wr|^2; it must agree
+    # with the dense r^T (-(W + W^T) + 2 rho W^T W) r
+    from spatialvb.sem import drho_dlogit
+    w = grid7 if graph == "rook" else delaunay_weights(60, np.random.default_rng(8))
+    assert graph == "rook" or (abs(w.matrix - w.matrix.T) > 1e-12).nnz > 0
+    wd = w.matrix.toarray()
+    target, _, y_u, (x, params, _, pattern, sel) = make_target(w, 4, mechanism=mechanism)
+    i_lambda = x.shape[1] + 1
+    for rho in (-0.9, 0.01, 0.5, 0.95):
+        phi = SemParams(beta=params.beta, sigma2_y=params.sigma2_y, rho=rho)
+        theta = target.unconstrain(phi, sel.psi if sel else None)
+        r = pattern.assemble(target.y_obs, y_u) - x @ phi.beta
+        dense = float(r @ ((-(wd + wd.T) + 2.0 * rho * wd.T @ wd) @ r))
+        wr = w.matrix @ r
+        identity = -2.0 * float(r @ wr) + 2.0 * rho * float(wr @ wr)
+        assert identity == pytest.approx(dense, rel=1e-12)
+        # the same term inside the rho gradient, relative to its own size
+        quad_term = 0.5 * np.exp(-theta[i_lambda - 1]) * dense * drho_dlogit(rho)
+        expected = (0.5 * target.ops.trace_minv_dm(rho) * drho_dlogit(rho)
+                    - quad_term - theta[i_lambda] / target.priors.var_rho_logit)
+        g_lambda = target.log_h_and_grads(theta, y_u)[1][i_lambda]
+        assert abs(g_lambda - expected) <= 1e-12 * (abs(quad_term) + abs(expected))

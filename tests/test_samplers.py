@@ -5,8 +5,9 @@ from spatialvb import (GmrfPlan, HmcConfig, MissingPattern, SemParams,
                        build_rook_grid_weights, gibbs_sweep, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
                        row_normalize, sample_conditional)
-from spatialvb.samplers import GmrfFactor, _Conditionals, _csr_dot, leapfrog
+from spatialvb.samplers import GmrfFactor, _Conditionals, leapfrog
 from spatialvb.sem import PrecisionPattern
+from spatialvb.weights import csr_dot
 
 from conftest import dense_sem_cov, random_instance, random_selection
 
@@ -111,7 +112,7 @@ def test_csr_rows_equal_the_bincount_product_and_the_dense_rows():
         for name, idx in sets:
             factor = GmrfFactor(prec.pattern, idx)
             v = rng.standard_normal(w.n)
-            got = _csr_dot(factor.rows(data), v)
+            got = csr_dot(factor.rows(data), v)
             np.testing.assert_array_equal(
                 got, _bincount_rows_dot(prec.pattern, data, factor.order, v),
                 err_msg=f"{name} rho={rho}")

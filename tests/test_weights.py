@@ -3,8 +3,10 @@ import pytest
 from scipy import sparse
 
 from spatialvb import build_rook_grid_weights, rho_interval, row_normalize
-from spatialvb.weights import (DegenerateUnitError, SpatialWeights,
-                               spectrum_bandwidth, weight_eigenvalues)
+from spatialvb.weights import (DegenerateUnitError, SpatialWeights, csr_dot,
+                               csr_dot_t, spectrum_bandwidth, weight_eigenvalues)
+
+from conftest import delaunay_weights, weights_in_five_layouts
 
 
 def neighbour_counts(w):
@@ -126,25 +128,9 @@ def _dense_spectrum(w):
     return np.linalg.eigvalsh(m.multiply(m.T).sqrt().toarray())
 
 
-def _random_symmetric(pattern, rng):
-    """Random positive symmetric values on the symmetric pattern of a 0/1 matrix."""
-    upper = sparse.triu(pattern, k=1).tocoo()
-    c = sparse.coo_matrix((rng.uniform(0.2, 3.0, upper.nnz), (upper.row, upper.col)),
-                          shape=pattern.shape)
-    return (c + c.T).tocsr()
-
-
 def test_banded_spectrum_matches_dense_on_an_irregular_graph():
     # Delaunay triangulation of random points: irregular degrees, odd cycles
-    from scipy.spatial import Delaunay
-    rng = np.random.default_rng(11)
-    tri = Delaunay(rng.uniform(size=(400, 2)))
-    edges = np.concatenate([tri.simplices[:, [a, b]]
-                            for a, b in ((0, 1), (1, 2), (0, 2))])
-    adj = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                            shape=(400, 400)).tocsr()
-    adj = ((adj + adj.T) > 0).astype(float)
-    w = row_normalize(SpatialWeights(matrix=_random_symmetric(adj, rng)))
+    w = delaunay_weights(400, np.random.default_rng(11))
     np.testing.assert_allclose(weight_eigenvalues(w), _dense_spectrum(w), rtol=0,
                                atol=1e-13)
 
@@ -200,3 +186,33 @@ def test_row_sums_off_one_by_1e6_are_not_row_normalized(tmp_path):
     assert not read_weights(path).row_normalized
     write_weights(w, path)
     assert read_weights(path).row_normalized
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", [(40, 40), (13, 40), (40, 13)])
+def test_direct_kernels_equal_the_public_products_bit_for_bit(shape, index_dtype):
+    rng = np.random.default_rng(5)
+    a = sparse.random(*shape, density=0.2, format="csr", random_state=rng)
+    a.indices = a.indices.astype(index_dtype)
+    a.indptr = a.indptr.astype(index_dtype)
+    assert a.indices.dtype == index_dtype
+    v, u = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+    np.testing.assert_array_equal(csr_dot(a, v), a @ v)
+    np.testing.assert_array_equal(csr_dot_t(a, u), a.T @ u)
+    with pytest.raises(ValueError, match="vector of shape"):
+        csr_dot(a, v[:-1])   # the kernel itself would read past the end
+    with pytest.raises(ValueError, match="vector of shape"):
+        csr_dot_t(a, u[:-1])
+
+
+def test_any_sparse_layout_is_stored_as_canonical_float64_csr():
+    csr, others = weights_in_five_layouts()
+    kept = SpatialWeights(matrix=csr, row_normalized=True)
+    assert kept.matrix is csr
+    for m in others:
+        w = SpatialWeights(matrix=m, row_normalized=True)
+        assert isinstance(w.matrix, sparse.csr_matrix)
+        assert w.matrix.dtype == np.float64 and w.matrix.has_canonical_format
+        np.testing.assert_array_equal(w.matrix.indptr, csr.indptr)
+        np.testing.assert_array_equal(w.matrix.indices, csr.indices)
+        np.testing.assert_array_equal(w.matrix.data, csr.data)
