@@ -6,7 +6,7 @@ are pure; the heavy pieces (log-determinant, trace of M^{-1} dM/drho) are
 served by :class:`PrecisionOps`, exactly and deterministically at every n:
 from the spectrum of W, computed once by a banded eigensolve, when the fit
 plans enough evaluations to repay it, and otherwise from one complex-step
-sparse LU per rho.
+sparse LU per rho, in a fill-reducing order found once.
 """
 
 from __future__ import annotations
@@ -93,22 +93,43 @@ def spatial_filter(rho: float | complex, w: SpatialWeights) -> sparse.csr_matrix
     return (sparse.identity(n, format="csr") - rho * w.matrix).tocsr()
 
 
-# imaginary step of the complex-step derivative (Martins, Sturdza & Alonso
-# 2003): Im f(rho + ih) / h = f'(rho) with no cancellation, so h can be tiny
-_COMPLEX_STEP = 1e-30
+# Imaginary step of the complex-step derivative (Martins, Sturdza & Alonso
+# 2003): Im f(rho + ih) / h = f'(rho) + O(h^2), with no cancellation. The
+# smallest pivot of I - rho W can vanish at rho = +-1, so the pivots bend on
+# the scale 1 - |rho|, and h = 1e-10 (1 - |rho|) keeps the truncation error
+# below rounding everywhere in (-1, 1); a fixed 1e-10 lost 2e-9 relative in
+# the trace at rho = 1 - 1e-7 on a 60 x 60 grid. A far smaller
+# step (1e-30) is no more accurate, but at small |rho| it pushes imaginary
+# parts of the fill, which decay like powers of rho, into the subnormal
+# range: at n = 10,000 it made one LU 14-29% slower at rho = 0.01 and
+# 22-56% slower at 0.001 than this step (two runs), and no slower at 0.5.
+_COMPLEX_STEP = 1e-10
 
-# One banded eigensolve of W costs about as much as n (bw + 1) / 2,000
+
+def _complex_step(rho: float) -> float:
+    return _COMPLEX_STEP * (1.0 - abs(rho))
+
+
+# no row pivoting: each diagonal entry is its column's pivot (see PrecisionOps.pivots)
+_UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+# One banded eigensolve of W costs about as much as n (bw + 1) / 1,800
 # complex-step LUs, bw being its bandwidth in reverse Cuthill-McKee order.
-# Break-even counts measured on rook grids, one BLAS thread of a 2-vCPU VM,
-# two runs (n = 3,600 in the second only):
-#     n       625  1,600  2,500  3,600  4,900  10,000
-#     bw       25     40     50     60     70     100
-#     count 10-11  38-40  59-70    128 114-182 313-466
+# Break-even counts (solve time over one LU at rho = 0.5) measured on rook
+# grids, one BLAS thread of a 2-vCPU VM, two runs:
+#     n       625  1,600  2,500   3,600   4,900  10,000
+#     bw       25     40     50      60      70     100
+#     count 12-13  39-40  68-85 105-110 154-177 412-440
+#     rule      9     36     71     122     193     561
+# The LU with its order found on every call gave 10, 32-33, 58-72, 95-117,
+# 135-159 and 374-379 in the same runs. The constant is the geometric mean
+# of n (bw + 1) / count, which moved from 2,010-2,220 to 1,770-1,870.
 # Both costs follow from n and bw alone, so the choice never reads a clock
 # and a fixed-seed fit always takes the same backend. They ignore that an LU
-# slows at small |rho|, as subnormals appear (fits start at 0.01): at n =
-# 10,000, 31 ms at rho = 0.5, 47-53 ms at 0.02-0.01, 69-73 ms at +-0.001.
-_BAND_ENTRIES_PER_LU = 2_000
+# slows at small |rho|, where parts of its fill turn subnormal (fits start
+# at 0.01): at n = 10,000, 27-29 ms at rho = 0.5, 38-39 ms at 0.01 and
+# 49-51 ms at +-0.001.
+_BAND_ENTRIES_PER_LU = 1_800
 
 
 class PrecisionOps:
@@ -120,7 +141,10 @@ class PrecisionOps:
     tr{M_y^{-1} dM_y/drho} = -2 sum lam_i / (1 - rho lam_i). Without it,
     one sparse LU of I - (rho + ih) W per rho gives both from its pivots
     u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
-    differentiation, tr{M_y^{-1} dM_y/drho} = 2 sum (Im u_ii / Re u_ii) / h.
+    differentiation, tr{M_y^{-1} dM_y/drho} = 2 sum (Im u_ii / Re u_ii) / h,
+    with h = 1e-10 (1 - |rho|). The LU's fill-reducing order depends on the
+    pattern of W alone; it is found at the first LU and held, so each later
+    rho only writes the values of the permuted matrix and factors them.
 
     ``evaluations`` is the number of :meth:`pivots` calls the caller plans.
     The spectrum is held iff its one-off solve costs no more than that many
@@ -133,25 +157,56 @@ class PrecisionOps:
     def __init__(self, w: SpatialWeights, evaluations: int = 10_000):
         self.weights = w
         self.eigenvalues = None
+        self._lu_pattern = None  # found by the first LU: see _permuted_pattern
         band_entries = w.n * (spectrum_bandwidth(w) + 1)
         if evaluations * _BAND_ENTRIES_PER_LU >= band_entries:
             self.eigenvalues = weight_eigenvalues(w)
+
+    def _permuted_pattern(self) -> tuple:
+        """CSC indices and indptr of P (I - z W) P', P the fill-reducing
+        order SuperLU's MMD finds for the pattern, and the positions of the
+        diagonal and of W's entries (in ``W.data`` order) in its data."""
+        if self._lu_pattern is None:
+            n, wm = self.weights.n, self.weights.matrix
+            # MMD reads the pattern only, so any rho in (-1, 1) gives this
+            # order. The matrix is complex, as in every later LU: after a
+            # real one, whose blocks are half the size, the allocator held
+            # 6 MB more at the peak of a run of LUs at n = 10,000.
+            # perm_c[i] is the place of unit i in the order.
+            place = splu((sparse.identity(n, dtype=complex, format="csc") - 0.5 * wm).tocsc(),
+                         permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED).perm_c.astype(np.int64)
+            wm = wm.tocoo()
+            units = np.arange(n)
+            row = place[np.concatenate([units, wm.row])]
+            col = place[np.concatenate([units, wm.col])]
+            keys, slot = np.unique(col * n + row, return_inverse=True)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+            self._lu_pattern = ((keys % n).astype(np.intc), indptr.astype(np.intc),
+                                slot[:n], slot[n:])
+        return self._lu_pattern
 
     def pivots(self, rho: float) -> np.ndarray:
         """The pivots of I - rho W at one rho: the factors 1 - rho lam_i of
         its determinant when the spectrum is held, otherwise the complex
         pivots u_ii of I - (rho + ih) W. Pass them to :meth:`logdet_m` and
         :meth:`trace_minv_dm` at the same rho to share one computation.
+        rho outside (-1, 1) raises LinAlgError on both backends.
 
         The LU does not pivot: for |rho| < 1 and row-normalised W the matrix
         is strictly row diagonally dominant, symmetric reordering keeps that,
         and elimination then meets only pivots with positive real part.
         """
+        if not -1.0 < rho < 1.0:
+            raise np.linalg.LinAlgError(f"rho={rho} outside admissible interval (-1, 1)")
         if self.eigenvalues is not None:
             return 1.0 - rho * self.eigenvalues
-        a = spatial_filter(complex(rho, _COMPLEX_STEP), self.weights).tocsc()
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        indices, indptr, diag, entries = self._permuted_pattern()
+        data = np.zeros(indices.size, dtype=complex)
+        data[entries] = -complex(rho, _complex_step(rho)) * self.weights.matrix.data
+        data[diag] += 1.0
+        n = self.weights.n
+        lu = splu(sparse.csc_matrix((data, indices, indptr), shape=(n, n)),
+                  permc_spec="NATURAL", **_UNPIVOTED)
         u = lu.U.diagonal()
         if not (np.all(u.real > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
             raise np.linalg.LinAlgError(
@@ -172,7 +227,7 @@ class PrecisionOps:
         u = self.pivots(rho) if pivots is None else pivots
         if self.eigenvalues is not None:
             return float(-2.0 * np.sum(self.eigenvalues / u))
-        return float(2.0 * np.sum(u.imag / u.real) / _COMPLEX_STEP)
+        return float(2.0 * np.sum(u.imag / u.real) / _complex_step(rho))
 
 
 def sem_log_likelihood(y: np.ndarray, params: SemParams, x: np.ndarray,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 from scipy.stats import multivariate_normal
 
 from spatialvb import (MissingPattern, SemParams, TargetDensity,
@@ -10,7 +11,7 @@ from spatialvb import (MissingPattern, SemParams, TargetDensity,
 from spatialvb.sem import PrecisionOps, PrecisionPattern
 from spatialvb.weights import SpatialWeights, weight_eigenvalues
 
-from conftest import dense_sem_cov, random_instance
+from conftest import delaunay_weights, dense_sem_cov, random_instance
 
 
 def two_unit_weights():
@@ -206,6 +207,103 @@ def test_lu_backend_refuses_rho_outside_unit_interval(grid4):
     ops = PrecisionOps(grid4, evaluations=0)
     with pytest.raises(np.linalg.LinAlgError, match="rho=1.5"):
         ops.logdet_m(1.5)
+
+
+def test_both_backends_refuse_rho_outside_unit_interval():
+    # on the spectrum, 1.5 once gave a finite trace and 1.0 an infinite one;
+    # on the LU, +-1.0 gave a finite log-determinant
+    w = row_normalize(build_rook_grid_weights(5))
+    for ops in (PrecisionOps(w), PrecisionOps(w, evaluations=0)):
+        for rho in (1.0, -1.0, 1.5, -2.0, float("nan")):
+            for evaluate in (ops.pivots, ops.logdet_m, ops.trace_minv_dm):
+                with pytest.raises(np.linalg.LinAlgError, match=f"rho={rho} outside"):
+                    evaluate(rho)
+
+
+_EPS = np.finfo(float).eps
+_NEAR_ONE = 1.0 - 1e-7
+_LU_RHOS = (_NEAR_ONE, -_NEAR_ONE, -0.9, 1e-3, 0.01, 0.5, 0.99)
+
+
+def _per_call_mmd_logdet_and_trace(w, rho):
+    """log|M_y| and its rho-derivative from the complex-step LU as it was
+    before its order was held: SuperLU's MMD order found anew for
+    I - (rho + ih) W on every call, with a fixed step h = 1e-30."""
+    h = 1e-30
+    a = (sparse.identity(w.n, format="csc") - complex(rho, h) * w.matrix).tocsc()
+    lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    u = lu.U.diagonal()
+    assert np.all(u.real > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)
+    return 2.0 * np.sum(np.log(u.real)), 2.0 * np.sum(u.imag / u.real) / h
+
+
+def _two_grids_side_by_side():
+    blocks = [build_rook_grid_weights(side).matrix for side in (6, 4)]
+    return row_normalize(SpatialWeights(matrix=sparse.block_diag(blocks, format="csr")))
+
+
+_LU_GRAPHS = {
+    "rook7": lambda: row_normalize(build_rook_grid_weights(7)),
+    "rook20": lambda: row_normalize(build_rook_grid_weights(20)),
+    "rook60": lambda: row_normalize(build_rook_grid_weights(60)),
+    "delaunay": lambda: delaunay_weights(60, np.random.default_rng(0)),
+    "two_grids": _two_grids_side_by_side,
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_LU_GRAPHS))
+def test_held_order_lu_matches_the_per_call_order_and_the_spectrum(graph):
+    # Tolerances from the rounding of each side: a sum of n logs of numbers
+    # near 1 carries about n eps absolutely, and near rho = +-1 the smallest
+    # pivot carries about kappa eps relatively, kappa = 1 / (1 - |rho|); the
+    # largest seen are 9 eps (n + kappa) and 4.5 eps kappa. The two LUs
+    # eliminate in one order and agree in the trace to 1e-10 at every rho,
+    # near +-1 included; with a fixed step of 1e-10 the 60 x 60 grid misses
+    # that there by about 20 times.
+    w = _LU_GRAPHS[graph]()
+    lu = PrecisionOps(w, evaluations=0)
+    spectrum = PrecisionOps(w)
+    assert lu.eigenvalues is None and spectrum.eigenvalues is not None
+    for rho in _LU_RHOS:
+        kappa = 1.0 / (1.0 - abs(rho))
+        pivots = lu.pivots(rho)
+        logdet, trace = lu.logdet_m(rho, pivots), lu.trace_minv_dm(rho, pivots)
+        ref_logdet, ref_trace = _per_call_mmd_logdet_and_trace(w, rho)
+        logdet_tol = {"rel": 1e-12, "abs": 32 * _EPS * (w.n + kappa)}
+        assert logdet == pytest.approx(ref_logdet, **logdet_tol), rho
+        assert logdet == pytest.approx(spectrum.logdet_m(rho), **logdet_tol), rho
+        assert trace == pytest.approx(ref_trace, rel=1e-10), rho
+        assert trace == pytest.approx(spectrum.trace_minv_dm(rho),
+                                      rel=1e-10 + 32 * _EPS * kappa), rho
+
+
+def test_lu_pivots_are_a_pure_function_of_rho():
+    # the first call finds the order; later calls, at any rho, reuse it
+    w = row_normalize(build_rook_grid_weights(20))
+    shared = PrecisionOps(w, evaluations=0)
+    first = {}
+    for rho in _LU_RHOS:
+        first[rho] = PrecisionOps(w, evaluations=0).pivots(rho)
+        np.testing.assert_array_equal(shared.pivots(rho), first[rho])
+    for rho in reversed(_LU_RHOS):
+        np.testing.assert_array_equal(shared.pivots(rho), first[rho])
+
+
+def test_one_precision_ops_finds_its_order_once(monkeypatch):
+    orderings = []
+
+    def counting_splu(a, permc_spec=None, **kwargs):
+        if permc_spec != "NATURAL":
+            orderings.append(permc_spec)
+        return splu(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr("spatialvb.sem.splu", counting_splu)
+    ops = PrecisionOps(row_normalize(build_rook_grid_weights(10)), evaluations=0)
+    for rho in (0.01, 0.5, -0.3, 0.01):
+        ops.logdet_m(rho)
+        ops.trace_minv_dm(rho, ops.pivots(rho))
+    assert orderings == ["MMD_AT_PLUS_A"]
 
 
 def _target(n_beta, x_star=None):
