@@ -1,6 +1,6 @@
-"""Samplers for the missing block: the closed-form MAR conditional, blocked
-Gibbs sweeps, the MNAR independence/block Metropolis schemes, and a fixed
-step-size leapfrog HMC over (theta, y_u).
+"""Samplers for the missing block: the closed-form MAR conditional, the
+MNAR independence Metropolis scheme, block Metropolis (blocked Gibbs under
+MAR), and a fixed step-size leapfrog HMC over (theta, y_u).
 
 Every conditional draw of y_u or of one of its blocks takes the fit's
 :class:`GmrfPlan` and goes through one banded GMRF factor
@@ -202,24 +202,6 @@ def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.
     return cg.mean + np.sqrt(cg.sigma2) * corr
 
 
-def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
-                x: np.ndarray, plan: GmrfPlan, n1: int, rng: np.random.Generator,
-                y_u_init: np.ndarray) -> np.ndarray:
-    """N1 full Gibbs sweeps over the blocks of the MAR conditional, each block
-    drawn from its exact conditional given the freshest other blocks."""
-    if n1 < 1:
-        raise ValueError("n1 must be at least 1")
-    work = _Conditionals(phi, x, plan, plan.blocks(partition))
-    y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
-    resid = y - work.xb
-    for _ in range(n1):
-        for j, f in enumerate(work.factors):
-            draw = work.draw(j, resid, rng)
-            y[f.order] = draw
-            resid[f.order] = draw - work.xb_blocks[j]
-    return y[plan.pattern.unobserved_idx]
-
-
 def _missing_sel_terms(x_psi: np.ndarray, psi_y: float, y_vals: np.ndarray) -> float:
     # log p(m_i | y_i) summed over missing units (m_i = 1), with
     # x_psi = x*_i psi_x held by the caller: t - log(1 + e^t) = -log(1 + e^{-t})
@@ -251,7 +233,7 @@ def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
     return y_u, accepted / n1
 
 
-def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
+def mcmc_block(phi: SemParams, sel: SelectionModel | None, y_o: np.ndarray,
                partition: BlockPartition, x: np.ndarray, plan: GmrfPlan,
                scheme: str, n1: int, rng: np.random.Generator,
                y_u_init: np.ndarray | None = None,
@@ -259,6 +241,10 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
     """Blockwise Metropolis: per inner iteration visit all k blocks ("allb")
     or a fresh uniform sample of k_prime blocks ("randomb"), proposing each
     block from its MAR conditional given the freshest other blocks.
+
+    With ``sel`` None (MAR) the proposal is the block's exact conditional,
+    so every proposal is accepted and no uniform is drawn: blocked Gibbs, a
+    Metropolis-Hastings step with acceptance one (Chib & Greenberg 1995).
 
     Returns the final missing vector and per-block acceptance fractions
     (NaN for blocks never proposed).
@@ -275,11 +261,12 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
         y_u_init = sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
     y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
     resid = y - work.xb
-    # psi is fixed within the call, and the selection term of a block's
-    # current state changes only when a proposal for that block is accepted
-    x_psi = [sel.x_star[f.order] @ sel.psi_x for f in work.factors]
-    log_sel = [_missing_sel_terms(x_psi[j], sel.psi_y, y[f.order])
-               for j, f in enumerate(work.factors)]
+    if sel is not None:
+        # psi is fixed within the call, and the selection term of a block's
+        # current state changes only when a proposal for that block is accepted
+        x_psi = [sel.x_star[f.order] @ sel.psi_x for f in work.factors]
+        log_sel = [_missing_sel_terms(x_psi[j], sel.psi_y, y[f.order])
+                   for j, f in enumerate(work.factors)]
     proposed = np.zeros(k, dtype=np.int64)
     accepted = np.zeros(k, dtype=np.int64)
     for _ in range(n1):
@@ -289,14 +276,16 @@ def mcmc_block(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
             visit = rng.choice(k, size=k_prime, replace=False)
         for j in visit:
             proposal = work.draw(j, resid, rng)
-            log_sel_prop = _missing_sel_terms(x_psi[j], sel.psi_y, proposal)
             proposed[j] += 1
-            if np.log(rng.random()) < log_sel_prop - log_sel[j]:
-                idx = work.factors[j].order
-                y[idx] = proposal
-                resid[idx] = proposal - work.xb_blocks[j]
+            if sel is not None:
+                log_sel_prop = _missing_sel_terms(x_psi[j], sel.psi_y, proposal)
+                if not np.log(rng.random()) < log_sel_prop - log_sel[j]:
+                    continue
                 log_sel[j] = log_sel_prop
-                accepted[j] += 1
+            idx = work.factors[j].order
+            y[idx] = proposal
+            resid[idx] = proposal - work.xb_blocks[j]
+            accepted[j] += 1
     with np.errstate(invalid="ignore"):
         rates = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)
     return y[plan.pattern.unobserved_idx], rates

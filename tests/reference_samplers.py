@@ -1,15 +1,18 @@
 """Samplers as they were before a per-call saving, kept as the references
 that ``spatialvb.samplers`` must reproduce exactly at a fixed seed: the MNAR
 Metropolis loops before their caches (every proposal recomputes x*[idx]
-psi_x and the selection term of the current block), and HMC before its
-inner leapfrog steps stopped evaluating log h."""
+psi_x and the selection term of the current block), HMC before its inner
+leapfrog steps stopped evaluating log h, and the blocked Gibbs sweep before
+it became ``mcmc_block`` without a selection model."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from spatialvb.samplers import (_Conditionals, _joint_logh_grad, mar_conditional,
-                                sample_conditional)
+from spatialvb.missing import BlockPartition
+from spatialvb.samplers import (GmrfPlan, _Conditionals, _joint_logh_grad,
+                                mar_conditional, sample_conditional)
+from spatialvb.sem import SemParams
 
 
 def _missing_sel_terms(y_vals, idx, sel) -> float:
@@ -104,3 +107,21 @@ def hmc_run_every_logh(target, cfg, init, rng):
             chain[it - cfg.burn_in] = chi
             logh_trace[it - cfg.burn_in] = logh
     return chain, logh_trace, accepted, divergences
+
+
+def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
+                x: np.ndarray, plan: GmrfPlan, n1: int, rng: np.random.Generator,
+                y_u_init: np.ndarray) -> np.ndarray:
+    """N1 full Gibbs sweeps over the blocks of the MAR conditional, each block
+    drawn from its exact conditional given the freshest other blocks."""
+    if n1 < 1:
+        raise ValueError("n1 must be at least 1")
+    work = _Conditionals(phi, x, plan, plan.blocks(partition))
+    y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
+    resid = y - work.xb
+    for _ in range(n1):
+        for j, f in enumerate(work.factors):
+            draw = work.draw(j, resid, rng)
+            y[f.order] = draw
+            resid[f.order] = draw - work.xb_blocks[j]
+    return y[plan.pattern.unobserved_idx]

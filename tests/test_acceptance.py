@@ -253,7 +253,7 @@ def test_criterion_4_likelihood_oracle():
 
 
 def test_criterion_5_sampler_stationarity():
-    from spatialvb import gibbs_sweep, mcmc_block, mcmc_nob
+    from spatialvb import mcmc_block, mcmc_nob
     start = time.perf_counter()
     w, x, params, y, _, sel = mnar_instance(22)
     m = np.zeros(16, dtype=np.int8)
@@ -298,13 +298,13 @@ def test_criterion_5_sampler_stationarity():
     rng = np.random.default_rng(7)
     state = np.zeros(pattern.n_u)
     for _ in range(200):
-        state = gibbs_sweep(params, y_o, gpart, x, plan, 1, rng,
-                            y_u_init=state)
+        state = mcmc_block(params, None, y_o, gpart, x, plan, "allb", 1, rng,
+                           y_u_init=state)[0]
     n_keep = 30_000
     states = np.empty((n_keep, pattern.n_u))
     for i in range(n_keep):
-        state = gibbs_sweep(params, y_o, gpart, x, plan, 1, rng,
-                            y_u_init=state)
+        state = mcmc_block(params, None, y_o, gpart, x, plan, "allb", 1, rng,
+                           y_u_init=state)[0]
         states[i] = state
     direct_mean = cg.mean
     direct_cov = cg_covariance(cg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spatialvb import (GmrfPlan, HmcConfig, MissingPattern, SemParams,
-                       build_rook_grid_weights, gibbs_sweep, hmc_run,
+                       build_rook_grid_weights, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
                        row_normalize, sample_conditional)
 from spatialvb.samplers import GmrfFactor, _Conditionals, leapfrog
@@ -189,7 +189,8 @@ def _draw_nob(phi, sel, y_o, part, x, plan, rng):
 
 
 def _draw_gibbs(phi, sel, y_o, part, x, plan, rng):
-    return gibbs_sweep(phi, y_o, part, x, plan, 5, rng, np.zeros(plan.pattern.n_u))
+    return mcmc_block(phi, None, y_o, part, x, plan, "allb", 5, rng,
+                      y_u_init=np.zeros(plan.pattern.n_u))[0]
 
 
 def _draw_block(phi, sel, y_o, part, x, plan, rng):
@@ -201,7 +202,7 @@ def test_plan_reused_across_rho_matches_fresh_factors():
     y_o = y[pattern.observed_idx]
     part = make_blocks(pattern, 2, seed=0)
     samplers = {"mar_conditional": _draw_direct, "mcmc_nob": _draw_nob,
-                "gibbs_sweep": _draw_gibbs, "mcmc_block": _draw_block}
+                "gibbs": _draw_gibbs, "mcmc_block": _draw_block}
     for name, draw in samplers.items():
         plan = GmrfPlan(w, pattern)
         for rho in (0.0, 0.6, -0.3):
@@ -288,9 +289,32 @@ def test_gibbs_single_block_equals_direct_draw(grid4):
     plan = GmrfPlan(grid4, pattern)
     cg = mar_conditional(params, y_o, x, plan)
     direct = sample_conditional(cg, np.random.default_rng(99))
-    swept = gibbs_sweep(params, y_o, part, x, plan, 1,
-                        np.random.default_rng(99), y_u_init=np.zeros(pattern.n_u))
+    swept = mcmc_block(params, None, y_o, part, x, plan, "allb", 1,
+                       np.random.default_rng(99), y_u_init=np.zeros(pattern.n_u))[0]
     np.testing.assert_allclose(swept, direct, atol=1e-9)
+
+
+@pytest.mark.parametrize("n1", [1, 3])
+@pytest.mark.parametrize("given_init", [True, False])
+def test_block_sampler_without_selection_is_the_gibbs_sweep(n1, given_init):
+    # with no selection model every block proposal is accepted and no uniform
+    # is drawn, so at a fixed seed mcmc_block must reproduce, bit for bit, the
+    # separate Gibbs loop, whose default start is a direct conditional draw
+    from reference_samplers import gibbs_sweep
+    w, x, params, y, pattern, _ = mnar_instance(28)
+    y_o = y[pattern.observed_idx]
+    plan = GmrfPlan(w, pattern)
+    part = make_blocks(pattern, 2, seed=0)
+    assert part.k == 3
+    init = np.linspace(-1.0, 1.0, pattern.n_u) if given_init else None
+    got, rates = mcmc_block(params, None, y_o, part, x, plan, "allb", n1,
+                            np.random.default_rng(5), y_u_init=init)
+    rng = np.random.default_rng(5)
+    if init is None:
+        init = sample_conditional(mar_conditional(params, y_o, x, plan), rng)
+    want = gibbs_sweep(params, y_o, part, x, plan, n1, rng, init)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(rates, np.ones(part.k))
 
 
 def test_gibbs_leaves_conditional_invariant(grid4):
@@ -309,8 +333,8 @@ def test_gibbs_leaves_conditional_invariant(grid4):
     states = np.empty((n_rep, pattern.n_u))
     for i in range(n_rep):
         start = sample_conditional(cg, rng)
-        states[i] = gibbs_sweep(params, y_o, part, x, plan, 2, rng,
-                                y_u_init=start)
+        states[i] = mcmc_block(params, None, y_o, part, x, plan, "allb", 2, rng,
+                               y_u_init=start)[0]
     cov_true = cg_covariance(cg)
     se_mean = np.sqrt(np.diag(cov_true) / n_rep)
     assert np.all(np.abs(states.mean(axis=0) - cg.mean) < 5 * se_mean)
@@ -332,13 +356,13 @@ def test_gibbs_chain_converges_to_direct_sampler(grid4):
     rng = np.random.default_rng(8)
     state = np.zeros(pattern.n_u)
     for _ in range(200):
-        state = gibbs_sweep(params, y_o, part, x, plan, 1, rng,
-                            y_u_init=state)
+        state = mcmc_block(params, None, y_o, part, x, plan, "allb", 1, rng,
+                           y_u_init=state)[0]
     n_keep = 20_000
     states = np.empty((n_keep, pattern.n_u))
     for i in range(n_keep):
-        state = gibbs_sweep(params, y_o, part, x, plan, 1, rng,
-                            y_u_init=state)
+        state = mcmc_block(params, None, y_o, part, x, plan, "allb", 1, rng,
+                           y_u_init=state)[0]
         states[i] = state
     # batch-means SE accounts for sweep-to-sweep autocorrelation
     n_batch = 100

@@ -8,9 +8,9 @@ from spatialvb import (AdadeltaState, HmcConfig, McmcConfig,
                        TargetDensity, VParams, adadelta_step,
                        draw_variational, hvb_fit,
                        hvb_gradient_estimate, jvb_fit, jvb_gradient_estimate,
-                       log_q, woodbury_logdet, woodbury_solve)
-from spatialvb.vb import (default_init_theta, hmc_fit, structural_mask,
-                          _estimator_pieces)
+                       woodbury_logdet, woodbury_solve)
+from spatialvb import vb
+from spatialvb.vb import ReparamDraw, default_init_theta, hmc_fit, structural_mask
 
 from conftest import random_instance
 from toy_targets import FailingTarget, GaussianTarget, ZeroTarget
@@ -71,6 +71,15 @@ def test_draw_covariance_monte_carlo():
     assert np.all(np.abs(cov_hat - cov_true) < 5 * se)
 
 
+def log_q_at(vp, v):
+    """log q(v), read off the ELBO sample log h - log q of
+    hvb_gradient_estimate on a flat target; the draw eta = 0,
+    eps = (v - mu) / d reaches v."""
+    draw = ReparamDraw(eta=np.zeros(vp.p), eps=(v - vp.mu) / vp.d)
+    *_, elbo = hvb_gradient_estimate(vp, ZeroTarget(vp.dim), np.empty(0), v, draw)
+    return -elbo
+
+
 def test_log_q_matches_dense_gaussian():
     vp = make_vp(5, 2, 3)
     rng = np.random.default_rng(4)
@@ -78,13 +87,13 @@ def test_log_q_matches_dense_gaussian():
     for _ in range(10):
         v = vp.mu + rng.standard_normal(5)
         oracle = multivariate_normal(mean=vp.mu, cov=cov).logpdf(v)
-        assert log_q(vp, v) == pytest.approx(oracle, abs=1e-10)
+        assert log_q_at(vp, v) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_log_q_at_mean_is_normalizer():
     vp = make_vp(5, 2, 5)
     expected = -2.5 * np.log(2 * np.pi) - 0.5 * np.linalg.slogdet(implied_cov(vp))[1]
-    assert log_q(vp, vp.mu) == pytest.approx(expected, abs=1e-12)
+    assert log_q_at(vp, vp.mu) == pytest.approx(expected, abs=1e-12)
 
 
 def test_woodbury_diagonal_case():
@@ -180,11 +189,38 @@ def test_estimator_reduces_to_correction_for_flat_target():
     target = ZeroTarget(5)
     rng = np.random.default_rng(14)
     value, draw = draw_variational(vp, rng)
-    g = np.zeros(5)
-    grad_mu, grad_b, grad_d = _estimator_pieces(vp, g, draw)
+    grad_mu, grad_b, grad_d, _ = hvb_gradient_estimate(vp, target, np.empty(0),
+                                                       value, draw)
     dev = vp.b @ draw.eta + vp.d * draw.eps
     np.testing.assert_allclose(grad_mu, woodbury_solve(vp.b, vp.d, dev), atol=1e-12)
     np.testing.assert_allclose(grad_d, grad_mu * draw.eps, atol=1e-12)
+
+
+def test_each_estimate_factors_the_capacitance_once(monkeypatch):
+    # the gradient and the ELBO sample of one draw share one Cholesky factor
+    # of the p x p capacitance and one solve with it
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vb, "cho_factor", counted("cho_factor", vb.cho_factor))
+    monkeypatch.setattr(vb, "cho_solve", counted("cho_solve", vb.cho_solve))
+    monkeypatch.setattr(vb.np.linalg, "cholesky",
+                        counted("cholesky", vb.np.linalg.cholesky))
+    vp = make_vp(5, 2, 21)
+    target = self_target(vp)
+    jvb_gradient_estimate(vp, target, np.random.default_rng(22))
+    assert sorted(calls) == ["cho_factor", "cho_solve"]
+    calls.clear()
+    vp_theta = make_vp(3, 2, 23)
+    theta, draw = draw_variational(vp_theta, np.random.default_rng(24))
+    hvb_gradient_estimate(vp_theta, GaussianTarget(np.zeros(5), np.eye(5), s=3),
+                          np.zeros(2), theta, draw)
+    assert sorted(calls) == ["cho_factor", "cho_solve"]
 
 
 def test_jvb_mu_gradient_matches_closed_form_gaussian_elbo():
