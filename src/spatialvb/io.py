@@ -178,12 +178,13 @@ def read_response(path) -> tuple[np.ndarray, MissingPattern]:
             token = row[0].strip()
             if token == "":
                 raise ValueError(f"{path}: empty field; use the explicit NA token")
-            if token.upper() == NA_TOKEN:
-                vals.append(np.nan)
-                miss.append(1)
-            else:
-                vals.append(float(token))
-                miss.append(0)
+            missing = token.upper() == NA_TOKEN
+            try:
+                vals.append(np.nan if missing else float(token))
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: {token!r} is "
+                                 f"neither a number nor {NA_TOKEN}") from None
+            miss.append(missing)
     return np.asarray(vals), MissingPattern(m=np.asarray(miss, dtype=np.int8))
 
 
@@ -235,7 +236,11 @@ def read_pattern(path) -> MissingPattern:
         rows = [(reader.line_num, r) for r in reader if r]
     m = [None] * len(rows)
     for line, r in rows:
-        i, v = map(int, r)
+        try:
+            i, v = map(int, r)
+        except ValueError:
+            raise ValueError(f"{path}, line {line}: expected two integers "
+                             f"index,m; got {','.join(r)!r}") from None
         if not 0 <= i < len(m):
             raise ValueError(f"{path}, line {line}: index {i} is outside the "
                              f"{len(m)} units")

@@ -75,6 +75,11 @@ def _predictor(x_star, psi_x, psi_y: float, y: np.ndarray) -> np.ndarray:
     return x_star @ psi_x + psi_y * y
 
 
+def log_sigmoid_sum(t: np.ndarray) -> float:
+    """sum_i log logistic(t_i) = -sum_i log(1 + e^{-t_i}), exact at large t."""
+    return float(-np.logaddexp(0.0, -t).sum())
+
+
 def _logistic(t: np.ndarray) -> np.ndarray:
     # logistic via tanh avoids overflow in exp
     return 0.5 * (1.0 + np.tanh(0.5 * t))
@@ -97,9 +102,9 @@ class SelectionTerms:
         return self.m - _logistic(self.t)
 
     def log_prob(self) -> float:
-        """log p(m | y, psi) = sum_i m_i t_i - log(1 + exp(t_i)), overflow-safe
-        for |t| far beyond 700."""
-        return float(np.sum(self.m * self.t - np.logaddexp(0.0, self.t)))
+        """log p(m | y, psi) = sum_i log logistic(+-t_i), with + where m_i = 1
+        (missing) and - where m_i = 0."""
+        return log_sigmoid_sum(np.where(self.m == 1, self.t, -self.t))
 
     def grad_psi(self) -> np.ndarray:
         """d log p / d psi = sum_i (m_i - p_i) z_i, z_i = (x*_i, y_i)."""

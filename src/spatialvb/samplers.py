@@ -3,8 +3,8 @@ MNAR independence Metropolis scheme, block Metropolis (blocked Gibbs under
 MAR), and a fixed step-size leapfrog HMC over (theta, y_u).
 
 Every conditional draw of y_u or of one of its blocks takes the fit's
-:class:`GmrfPlan` and goes through one banded GMRF factor
-(:class:`GmrfFactor`) of the relevant block of M_y."""
+:class:`GmrfPlan` and goes through one :class:`ConditionalGaussian`, on a
+banded GMRF factor (:class:`GmrfFactor`) of the relevant block of M_y."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .missing import BlockPartition, MissingPattern, SelectionModel
+from .missing import BlockPartition, MissingPattern, SelectionModel, log_sigmoid_sum
 from .sem import PrecisionPattern, SemParams
 from .weights import SpatialWeights, csr_dot
 
@@ -129,69 +129,52 @@ class GmrfPlan:
         return self._blocks[1]
 
 
-@dataclass(frozen=True)
 class ConditionalGaussian:
-    """N(mean, sigma2 * M_uu^{-1}) with the unit-variance precision block
-    M_uu held as its banded Cholesky factor: ``chol_lower`` is the band of L,
-    shape (bw + 1, n_u), in the order of ``factor``."""
+    """The conditional of y_S given the other units at one phi, S =
+    ``factor.order``. With r = y - X beta and c = M[S, :] r it is
+    N(y_S - M_SS^{-1} c, sigma2 M_SS^{-1}); the mean equals the textbook
+    X_S beta - M_SS^{-1} M_S,rest r_rest and needs only the rows of S.
+    ``chol_lower`` is the band of L, M_SS's banded Cholesky factor, shape
+    (bw + 1, |S|). All is held in factor order, so a draw permutes nothing;
+    ``mean``, set for the unobserved set only, is in sorted order."""
 
-    mean: np.ndarray
-    chol_lower: np.ndarray
-    sigma2: float
-    factor: GmrfFactor
-
-
-class _Conditionals:
-    """Banded factors of the blocks M_SS of M_y at one rho, for the
-    conditional of y_S given the other units, S = ``factors[j].order``.
-
-    With r = y - X beta and c = M[S, :] r, the conditional mean is
-    y_S - M_SS^{-1} c, which equals the textbook partitioned form
-    X_S beta - M_SS^{-1} M_S,rest r_rest and only needs the rows of the
-    block per visit. Everything per block is held in factor order, so a
-    visit permutes nothing.
-    """
-
-    def __init__(self, phi: SemParams, x: np.ndarray, plan: GmrfPlan,
-                 factors: list[GmrfFactor]):
-        self.xb = x @ phi.beta
-        m_data = plan.precision.data(phi.rho)
-        self.factors = factors
-        self.bands = [f.cholesky(m_data, phi.rho) for f in factors]
-        # per block, what stays fixed across visits at this phi
-        self.rows = [f.rows(m_data) for f in factors]
-        self.xb_blocks = [self.xb[f.order] for f in factors]
+    def __init__(self, phi: SemParams, xb: np.ndarray, m_data: np.ndarray,
+                 factor: GmrfFactor):
+        self.factor = factor
+        self.chol_lower = factor.cholesky(m_data, phi.rho)
+        self.rows = factor.rows(m_data)
+        self.xb = xb[factor.order]
+        self.sigma2 = phi.sigma2_y
         self.scale = np.sqrt(phi.sigma2_y)
+        self.mean: np.ndarray | None = None
 
-    def draw(self, j: int, resid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, resid: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """A draw of y_S, in factor order, from the canonical form (Rue & Held
         2005, sec. 2.3): y_S - L^{-T} (L^{-1} c - sqrt(sigma2) z), i.e. the
         mean y_S - M_SS^{-1} c plus sqrt(sigma2) L^{-T} z, for the cost of
-        two triangular solves."""
-        f, band = self.factors[j], self.bands[j]
-        z = rng.standard_normal(f.order.size)
-        w = f.triangular(band, csr_dot(self.rows[j], resid), "N") - self.scale * z
-        return resid[f.order] + self.xb_blocks[j] - f.triangular(band, w, "T")
+        two triangular solves. With no ``rng`` (no noise) it is the mean."""
+        f, band = self.factor, self.chol_lower
+        w = f.triangular(band, csr_dot(self.rows, resid), "N")
+        if rng is not None:
+            w = w - self.scale * rng.standard_normal(f.order.size)
+        return resid[f.order] + self.xb - f.triangular(band, w, "T")
 
 
 def mar_conditional(phi: SemParams, y_o: np.ndarray, x: np.ndarray,
                     plan: GmrfPlan) -> ConditionalGaussian:
     """Conditional of the unobserved responses given the observed ones.
 
-    mean = X_u beta - M_uu^{-1} M_uo (y_o - X_o beta), cov = sigma2 M_uu^{-1}.
-    The mean is that of the Gibbs and Metropolis blocks,
-    y_S - M_SS^{-1} (M[S, :] r), for S = u and y_u = X_u beta, so r_u = 0.
+    mean = X_u beta - M_uu^{-1} M_uo (y_o - X_o beta), cov = sigma2 M_uu^{-1}:
+    the noise-free draw of the set u at y_u = X_u beta, so r_u = 0.
     """
-    work = _Conditionals(phi, x, plan, [plan.unobserved])
-    resid = np.zeros(work.xb.shape)
+    xb = x @ phi.beta
+    cg = ConditionalGaussian(phi, xb, plan.precision.data(phi.rho), plan.unobserved)
+    resid = np.zeros(xb.shape)
     obs = plan.pattern.observed_idx
-    resid[obs] = np.asarray(y_o, dtype=float) - work.xb[obs]
-    f, band = plan.unobserved, work.bands[0]
-    w = f.triangular(band, csr_dot(work.rows[0], resid), "N")
-    mean = np.empty(f.idx.size)
-    mean[f.perm] = work.xb_blocks[0] - f.triangular(band, w, "T")
-    return ConditionalGaussian(mean=mean, chol_lower=band, sigma2=phi.sigma2_y,
-                               factor=f)
+    resid[obs] = np.asarray(y_o, dtype=float) - xb[obs]
+    cg.mean = np.empty(cg.xb.size)
+    cg.mean[cg.factor.perm] = cg.draw(resid)
+    return cg
 
 
 def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.ndarray:
@@ -199,34 +182,34 @@ def sample_conditional(cg: ConditionalGaussian, rng: np.random.Generator) -> np.
     z = rng.standard_normal(cg.mean.shape[0])
     corr = np.empty(z.shape)
     corr[cg.factor.perm] = cg.factor.triangular(cg.chol_lower, z, "T")
-    return cg.mean + np.sqrt(cg.sigma2) * corr
+    return cg.mean + cg.scale * corr
 
 
-def _missing_sel_terms(x_psi: np.ndarray, psi_y: float, y_vals: np.ndarray) -> float:
-    # log p(m_i | y_i) summed over missing units (m_i = 1), with
-    # x_psi = x*_i psi_x held by the caller: t - log(1 + e^t) = -log(1 + e^{-t})
-    t = x_psi + psi_y * y_vals
-    return float(-np.logaddexp(0.0, -t).sum())
-
-
-def mcmc_nob(phi: SemParams, sel: SelectionModel, y_o: np.ndarray,
+def mcmc_nob(phi: SemParams, sel: SelectionModel | None, y_o: np.ndarray,
              x: np.ndarray, plan: GmrfPlan, n1: int, rng: np.random.Generator,
              y_u_init: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Independence Metropolis over the whole missing vector: proposals from
-    the MAR conditional, acceptance from the missingness-likelihood ratio."""
+    the MAR conditional, acceptance from the missingness-likelihood ratio.
+
+    With ``sel`` None (MAR) the proposal is the exact conditional, so it is
+    accepted with probability one (Chib & Greenberg 1995): one draw, no
+    start and no uniform, whatever ``n1`` and ``y_u_init``; the rate is 1.
+    """
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
     cg = mar_conditional(phi, y_o, x, plan)
+    if sel is None:
+        return sample_conditional(cg, rng), 1.0
     if y_u_init is None:
         y_u = sample_conditional(cg, rng)
     else:
         y_u = np.asarray(y_u_init, dtype=float).copy()
     x_psi = sel.x_star[plan.pattern.unobserved_idx] @ sel.psi_x
-    log_sel = _missing_sel_terms(x_psi, sel.psi_y, y_u)
+    log_sel = log_sigmoid_sum(x_psi + sel.psi_y * y_u)
     accepted = 0
     for _ in range(n1):
         proposal = sample_conditional(cg, rng)
-        log_sel_prop = _missing_sel_terms(x_psi, sel.psi_y, proposal)
+        log_sel_prop = log_sigmoid_sum(x_psi + sel.psi_y * proposal)
         if np.log(rng.random()) < log_sel_prop - log_sel:
             y_u, log_sel = proposal, log_sel_prop
             accepted += 1
@@ -256,17 +239,19 @@ def mcmc_block(phi: SemParams, sel: SelectionModel | None, y_o: np.ndarray,
     k = partition.k
     if scheme == "randomb" and not (1 <= k_prime <= k):
         raise ValueError(f"k_prime={k_prime} out of range [1, {k}]")
-    work = _Conditionals(phi, x, plan, plan.blocks(partition))
+    xb = x @ phi.beta
+    m_data = plan.precision.data(phi.rho)
+    blocks = [ConditionalGaussian(phi, xb, m_data, f) for f in plan.blocks(partition)]
     if y_u_init is None:
         y_u_init = sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
     y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
-    resid = y - work.xb
+    resid = y - xb
     if sel is not None:
         # psi is fixed within the call, and the selection term of a block's
         # current state changes only when a proposal for that block is accepted
-        x_psi = [sel.x_star[f.order] @ sel.psi_x for f in work.factors]
-        log_sel = [_missing_sel_terms(x_psi[j], sel.psi_y, y[f.order])
-                   for j, f in enumerate(work.factors)]
+        x_psi = [sel.x_star[cg.factor.order] @ sel.psi_x for cg in blocks]
+        log_sel = [log_sigmoid_sum(x_psi[j] + sel.psi_y * y[cg.factor.order])
+                   for j, cg in enumerate(blocks)]
     proposed = np.zeros(k, dtype=np.int64)
     accepted = np.zeros(k, dtype=np.int64)
     for _ in range(n1):
@@ -275,16 +260,17 @@ def mcmc_block(phi: SemParams, sel: SelectionModel | None, y_o: np.ndarray,
         else:
             visit = rng.choice(k, size=k_prime, replace=False)
         for j in visit:
-            proposal = work.draw(j, resid, rng)
+            cg = blocks[j]
+            proposal = cg.draw(resid, rng)
             proposed[j] += 1
             if sel is not None:
-                log_sel_prop = _missing_sel_terms(x_psi[j], sel.psi_y, proposal)
+                log_sel_prop = log_sigmoid_sum(x_psi[j] + sel.psi_y * proposal)
                 if not np.log(rng.random()) < log_sel_prop - log_sel[j]:
                     continue
                 log_sel[j] = log_sel_prop
-            idx = work.factors[j].order
+            idx = cg.factor.order
             y[idx] = proposal
-            resid[idx] = proposal - work.xb_blocks[j]
+            resid[idx] = proposal - cg.xb
             accepted[j] += 1
     with np.errstate(invalid="ignore"):
         rates = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)

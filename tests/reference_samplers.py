@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from spatialvb.missing import BlockPartition
-from spatialvb.samplers import (GmrfPlan, _Conditionals, _joint_logh_grad,
+from spatialvb.samplers import (ConditionalGaussian, GmrfPlan, _joint_logh_grad,
                                 mar_conditional, sample_conditional)
 from spatialvb.sem import SemParams
 
@@ -18,6 +18,12 @@ from spatialvb.sem import SemParams
 def _missing_sel_terms(y_vals, idx, sel) -> float:
     t = sel.x_star[idx] @ sel.psi_x + sel.psi_y * y_vals
     return float(-np.sum(np.logaddexp(0.0, -t)))
+
+
+def _block_conditionals(phi, x, plan, partition):
+    """X beta and the conditional of each block of ``partition`` at ``phi``."""
+    xb, m_data = x @ phi.beta, plan.precision.data(phi.rho)
+    return xb, [ConditionalGaussian(phi, xb, m_data, f) for f in plan.blocks(partition)]
 
 
 def mcmc_nob_uncached(phi, sel, y_o, x, plan, n1, rng, y_u_init=None):
@@ -41,11 +47,11 @@ def mcmc_nob_uncached(phi, sel, y_o, x, plan, n1, rng, y_u_init=None):
 def mcmc_block_uncached(phi, sel, y_o, partition, x, plan, scheme, n1, rng,
                         y_u_init=None, k_prime=3):
     k = partition.k
-    work = _Conditionals(phi, x, plan, plan.blocks(partition))
+    xb, blocks = _block_conditionals(phi, x, plan, partition)
     if y_u_init is None:
         y_u_init = sample_conditional(mar_conditional(phi, y_o, x, plan), rng)
     y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
-    resid = y - work.xb
+    resid = y - xb
     proposed = np.zeros(k, dtype=np.int64)
     accepted = np.zeros(k, dtype=np.int64)
     for _ in range(n1):
@@ -54,14 +60,14 @@ def mcmc_block_uncached(phi, sel, y_o, partition, x, plan, scheme, n1, rng,
         else:
             visit = rng.choice(k, size=k_prime, replace=False)
         for j in visit:
-            idx = work.factors[j].order
-            proposal = work.draw(j, resid, rng)
+            idx = blocks[j].factor.order
+            proposal = blocks[j].draw(resid, rng)
             log_ratio = (_missing_sel_terms(proposal, idx, sel)
                          - _missing_sel_terms(y[idx], idx, sel))
             proposed[j] += 1
             if np.log(rng.random()) < log_ratio:
                 y[idx] = proposal
-                resid[idx] = proposal - work.xb[idx]
+                resid[idx] = proposal - xb[idx]
                 accepted[j] += 1
     with np.errstate(invalid="ignore"):
         rates = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)
@@ -116,12 +122,12 @@ def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,
     drawn from its exact conditional given the freshest other blocks."""
     if n1 < 1:
         raise ValueError("n1 must be at least 1")
-    work = _Conditionals(phi, x, plan, plan.blocks(partition))
+    xb, blocks = _block_conditionals(phi, x, plan, partition)
     y = plan.pattern.assemble(y_o, np.asarray(y_u_init, dtype=float))
-    resid = y - work.xb
+    resid = y - xb
     for _ in range(n1):
-        for j, f in enumerate(work.factors):
-            draw = work.draw(j, resid, rng)
-            y[f.order] = draw
-            resid[f.order] = draw - work.xb_blocks[j]
+        for cg in blocks:
+            draw = cg.draw(resid, rng)
+            y[cg.factor.order] = draw
+            resid[cg.factor.order] = draw - cg.xb
     return y[plan.pattern.unobserved_idx]

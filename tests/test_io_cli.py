@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,24 @@ def test_pattern_reader_names_a_bad_indicator(tmp_path, m):
     with pytest.raises(ValueError, match=f"line 6: m is {m}; it must be 0 "
                                          r"\(observed\) or 1 \(missing\)"):
         read_pattern(path)
+
+
+@pytest.mark.parametrize("last_row", ["4,1,0", "4", "4,one", "4,1.0"])
+def test_pattern_reader_names_a_malformed_row(tmp_path, last_row):
+    path = tmp_path / "pattern.csv"
+    path.write_text("index,m\n0,1\n1,0\n2,0\n3,1\n" + last_row + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"pattern.csv, line 6: expected two integers index,m; got {last_row!r}")):
+        read_pattern(path)
+
+
+@pytest.mark.parametrize("token", ["abc", "1.0.0", "1,5"])
+def test_response_reader_names_a_non_numeric_token(tmp_path, token):
+    path = tmp_path / "y.csv"
+    path.write_text(f'y\n1.0\nNA\n"{token}"\n')
+    with pytest.raises(ValueError, match=re.escape(
+            f"y.csv, line 4: {token!r} is neither a number nor NA")):
+        read_response(path)
 
 
 def test_dataset_round_trip_mar(tmp_path):
@@ -708,6 +727,22 @@ def test_cli_fit_names_a_bad_pattern_index(tmp_path, capsys, index, message):
     cfg.write_text(json.dumps(run_config(ds, "jvb", tmp_path / "run", iterations=5)))
     assert main(["fit", "--config", str(cfg)]) == 2
     assert f"pattern.csv, line 17: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, row, message", [
+    ("pattern.csv", "15,1,0", "expected two integers index,m; got '15,1,0'"),
+    ("pattern.csv", "15,x", "expected two integers index,m; got '15,x'"),
+    ("y.csv", "abc", "'abc' is neither a number nor NA"),
+])
+def test_cli_fit_names_a_malformed_row(tmp_path, capsys, name, row, message):
+    ds = make_dataset(tmp_path)
+    lines = (ds / name).read_text().splitlines()
+    lines[-1] = row
+    (ds / name).write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(run_config(ds, "jvb", tmp_path / "run", iterations=5)))
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert f"{name}, line 17: {message}" in capsys.readouterr().err
 
 
 def test_cli_fit_names_a_weight_index_past_the_units(tmp_path, capsys):

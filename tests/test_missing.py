@@ -62,6 +62,20 @@ def test_selection_log_prob_stable_at_extremes():
     assert np.isfinite(val0) and val0 == pytest.approx(-2400.0)
 
 
+def test_selection_log_prob_exact_at_a_large_predictor():
+    # a missing unit at t = 40 has log p = -log1p(e^-40) = -4.25e-18, which
+    # t - log(1 + e^t) rounds to 0; at t = 800 the value stays finite, and an
+    # observed unit at t = -40 keeps -log(1 + e^-40)
+    sel = SelectionModel(psi_x=np.array([40.0]), psi_y=0.0, x_star=np.ones((1, 1)))
+    val = selection_log_prob(np.array([1]), np.zeros(1), sel)
+    assert val == pytest.approx(-np.log1p(np.exp(-40.0)), rel=1e-12, abs=0)
+    far = SelectionModel(psi_x=np.array([800.0]), psi_y=0.0, x_star=np.ones((1, 1)))
+    assert np.isfinite(selection_log_prob(np.array([1]), np.zeros(1), far))
+    low = SelectionModel(psi_x=np.array([-40.0]), psi_y=0.0, x_star=np.ones((1, 1)))
+    assert selection_log_prob(np.array([0]), np.zeros(1), low) == \
+        -np.logaddexp(0.0, -40.0)
+
+
 def _fd_grad(f, x0, h=1e-5):
     g = np.zeros_like(x0)
     for i in range(x0.size):

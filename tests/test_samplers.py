@@ -5,7 +5,7 @@ from spatialvb import (GmrfPlan, HmcConfig, MissingPattern, SemParams,
                        build_rook_grid_weights, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
                        row_normalize, sample_conditional)
-from spatialvb.samplers import GmrfFactor, _Conditionals, leapfrog
+from spatialvb.samplers import ConditionalGaussian, GmrfFactor, leapfrog
 from spatialvb.sem import PrecisionPattern
 from spatialvb.weights import csr_dot
 
@@ -122,13 +122,15 @@ def test_csr_rows_equal_the_bincount_product_and_the_dense_rows():
 
 def _grid6_block_conditionals(rho):
     """A 6 x 6 grid with half its units missing, split into blocks of 6, and
-    the block conditionals at ``rho``."""
+    the conditional of each block at ``rho``."""
     w = row_normalize(build_rook_grid_weights(6))
     x, params, y, pattern, _ = random_instance(w, 51, missing=0.5)
     params = SemParams(beta=params.beta, sigma2_y=params.sigma2_y, rho=rho)
     part = make_blocks(pattern, 6, seed=4)
     plan = GmrfPlan(w, pattern)
-    return w, x, params, y, _Conditionals(params, x, plan, plan.blocks(part))
+    xb, m_data = x @ params.beta, plan.precision.data(rho)
+    return w, x, params, y, [ConditionalGaussian(params, xb, m_data, f)
+                             for f in plan.blocks(part)]
 
 
 def test_fused_block_draw_equals_the_two_step_form():
@@ -136,17 +138,17 @@ def test_fused_block_draw_equals_the_two_step_form():
     # P^T L^{-T} z, with the mean and L^{-T} z from dense algebra
     from scipy.linalg import solve_triangular
     for rho in (0.01, 0.5, 0.95):
-        w, x, params, y, work = _grid6_block_conditionals(rho)
+        w, x, params, y, blocks = _grid6_block_conditionals(rho)
         m_y = PrecisionPattern(w).matrix(rho).toarray()
         resid = y - x @ params.beta
-        for j, f in enumerate(work.factors):
-            s = f.order
+        for j, cg in enumerate(blocks):
+            s = cg.factor.order
             mean = y[s] - np.linalg.solve(m_y[np.ix_(s, s)], m_y[s] @ resid)
             z = np.random.default_rng(j).standard_normal(s.size)
-            corr = solve_triangular(dense_lower(work.bands[j]), z, lower=True,
+            corr = solve_triangular(dense_lower(cg.chol_lower), z, lower=True,
                                     trans="T")
             two_step = mean + np.sqrt(params.sigma2_y) * corr
-            got = work.draw(j, resid, np.random.default_rng(j))
+            got = cg.draw(resid, np.random.default_rng(j))
             np.testing.assert_allclose(got, two_step, rtol=0, atol=1e-12,
                                        err_msg=f"block {j} rho={rho}")
 
@@ -157,9 +159,9 @@ def test_fused_block_draw_moments_match_the_dense_schur_conditional():
     # sqrt((c_ij^2 + c_ii c_jj) / N) (Gaussian fourth moments); 42 checks at
     # 5 SE fail by chance with probability below 1e-4
     n_draws = 40_000
-    w, x, params, y, work = _grid6_block_conditionals(0.7)
-    j = 1
-    f = work.factors[j]
+    w, x, params, y, blocks = _grid6_block_conditionals(0.7)
+    cg = blocks[1]
+    f = cg.factor
     assert f.order.size == 6 and f.bw > 0
     m = np.zeros(w.n, dtype=np.int8)
     m[f.idx] = 1
@@ -172,7 +174,7 @@ def test_fused_block_draw_moments_match_the_dense_schur_conditional():
     y[f.idx] = 0.0   # the conditional does not depend on the block's own values
     resid = y - x @ params.beta
     rng = np.random.default_rng(12)
-    draws = np.array([work.draw(j, resid, rng) for _ in range(n_draws)])
+    draws = np.array([cg.draw(resid, rng) for _ in range(n_draws)])
     se_mean = np.sqrt(np.diag(cov_o) / n_draws)
     assert np.all(np.abs(draws.mean(axis=0) - mean_o) < 5 * se_mean)
     d = np.sqrt(np.outer(np.diag(cov_o), np.diag(cov_o)))
@@ -315,6 +317,26 @@ def test_block_sampler_without_selection_is_the_gibbs_sweep(n1, given_init):
     want = gibbs_sweep(params, y_o, part, x, plan, n1, rng, init)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(rates, np.ones(part.k))
+
+
+@pytest.mark.parametrize("n1", [1, 5])
+@pytest.mark.parametrize("given_init", [True, False])
+def test_nob_without_selection_is_one_exact_draw(n1, given_init):
+    # with no selection model the proposal is the exact conditional, accepted
+    # with probability one: mcmc_nob returns one sample_conditional draw at
+    # rate 1 and leaves the generator where that draw leaves it, so it drew
+    # no start and no uniform
+    w, x, params, y, pattern, _ = mnar_instance(29)
+    y_o = y[pattern.observed_idx]
+    plan = GmrfPlan(w, pattern)
+    init = np.linspace(-1.0, 1.0, pattern.n_u) if given_init else None
+    rng = np.random.default_rng(6)
+    got, rate = mcmc_nob(params, None, y_o, x, plan, n1, rng, y_u_init=init)
+    ref = np.random.default_rng(6)
+    want = sample_conditional(mar_conditional(params, y_o, x, plan), ref)
+    np.testing.assert_array_equal(got, want)
+    assert rate == 1.0
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_gibbs_leaves_conditional_invariant(grid4):
