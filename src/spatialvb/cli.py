@@ -113,21 +113,13 @@ def build_target(dataset: Dataset, cfg: RunConfig) -> TargetDensity:
 
 def sampler_config_for(method: str, mechanism: str, cfg: RunConfig,
                        target: TargetDensity) -> McmcConfig:
-    n_u = target.n_u
     if method == "hvb-nob":
-        if mechanism == "mar":
-            return McmcConfig(scheme="direct", n1=1, warm_start=cfg.warm_start)
         return McmcConfig(scheme="nob", n1=cfg.n1 or 10, warm_start=cfg.warm_start)
-    if method == "hvb-g":
-        k_star = cfg.block_size or default_block_size(n_u, "mar")
-        part = make_blocks(target.pattern, k_star, cfg.seed)
-        return McmcConfig(scheme="gibbs", n1=cfg.n1 or 5, partition=part,
-                          warm_start=cfg.warm_start)
-    k_star = cfg.block_size or default_block_size(n_u, "mnar")
+    k_star = cfg.block_size or default_block_size(target.n_u, mechanism)
     part = make_blocks(target.pattern, k_star, cfg.seed)
-    scheme = "allb" if method == "hvb-allb" else "randomb"
-    return McmcConfig(scheme=scheme, n1=cfg.n1 or 10, partition=part,
-                      k_prime=cfg.k_prime, warm_start=cfg.warm_start)
+    scheme = "randomb" if method == "hvb-3b" else "allb"
+    return McmcConfig(scheme=scheme, n1=cfg.n1 or (5 if mechanism == "mar" else 10),
+                      partition=part, k_prime=cfg.k_prime, warm_start=cfg.warm_start)
 
 
 def run_fit(cfg: RunConfig, out_dir: str | Path):

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,18 +173,26 @@ def read_response(path) -> tuple[np.ndarray, MissingPattern]:
         if not header or header[0].strip().lower() != "y":
             raise ValueError(f"{path}: expected a 'y' header row")
         vals, miss = [], []
+
+        def bad_row(message):
+            return ValueError(f"{path}, line {reader.line_num}: {message}")
+
         for row in reader:
             if not row:
                 continue
+            if len(row) > 1:
+                raise bad_row(f"expected one field; got {','.join(row)!r}")
             token = row[0].strip()
             if token == "":
-                raise ValueError(f"{path}: empty field; use the explicit NA token")
+                raise bad_row("empty field; use the explicit NA token")
             missing = token.upper() == NA_TOKEN
             try:
                 vals.append(np.nan if missing else float(token))
             except ValueError:
-                raise ValueError(f"{path}, line {reader.line_num}: {token!r} is "
-                                 f"neither a number nor {NA_TOKEN}") from None
+                raise bad_row(f"{token!r} is neither a number nor {NA_TOKEN}") from None
+            if not (missing or math.isfinite(vals[-1])):
+                raise bad_row(f"{token!r} is not finite; mark a missing response "
+                              f"{NA_TOKEN}")
             miss.append(missing)
     return np.asarray(vals), MissingPattern(m=np.asarray(miss, dtype=np.int8))
 

@@ -281,10 +281,10 @@ def mcmc_block(phi: SemParams, sel: SelectionModel | None, y_o: np.ndarray,
 class McmcConfig:
     """Settings for the inner y_u sampler of one HVB iteration.
 
-    scheme: "direct" (exact MAR conditional), "gibbs" (blocked Gibbs, MAR),
-    "nob" (full-vector Metropolis, MNAR), "allb"/"randomb" (block Metropolis,
-    MNAR). warm_start carries y_u across outer iterations instead of the
-    printed per-iteration redraw from the MAR conditional.
+    scheme: "nob" (full vector), "allb" (all blocks) or "randomb" (k_prime
+    random blocks): Metropolis under MNAR; under MAR "nob" is one exact draw
+    and the block schemes are Gibbs. warm_start carries y_u across outer
+    iterations instead of the printed per-iteration redraw from the MAR conditional.
     """
 
     scheme: str
@@ -294,11 +294,11 @@ class McmcConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("direct", "gibbs", "nob", "allb", "randomb"):
+        if self.scheme not in ("nob", "allb", "randomb"):
             raise ValueError(f"unknown sampler scheme {self.scheme!r}")
         if self.n1 < 1:
             raise ValueError("n1 must be at least 1")
-        if self.scheme in ("gibbs", "allb", "randomb") and self.partition is None:
+        if self.scheme != "nob" and self.partition is None:
             raise ValueError(f"scheme {self.scheme!r} needs a block partition")
         if self.scheme == "randomb" and self.partition is not None and self.partition.k:
             if not (1 <= self.k_prime <= self.partition.k):

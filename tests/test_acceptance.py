@@ -74,7 +74,7 @@ def small_data():
 def fit_hvb_nob_mar(mar_data):
     _, target = mar_data
     theta0 = default_init_theta(target)
-    return hvb_fit(target, theta0, 10_000, 4, McmcConfig(scheme="direct", n1=1),
+    return hvb_fit(target, theta0, 10_000, 4, McmcConfig(scheme="nob", n1=1),
                    np.random.default_rng(0), seed=0)
 
 
@@ -114,7 +114,7 @@ def fit_small_pair(small_data):
     hmc = hmc_fit(target, HmcConfig(n_samples=5000, n_leapfrog=30,
                                     step_size=0.25, burn_in=1000),
                   theta0, np.random.default_rng(1), seed=1)
-    hvb = hvb_fit(target, theta0, 10_000, 4, McmcConfig(scheme="direct", n1=1),
+    hvb = hvb_fit(target, theta0, 10_000, 4, McmcConfig(scheme="nob", n1=1),
                   np.random.default_rng(2), seed=2)
     jvb_init = np.concatenate([theta0, draw_initial_yu(target, theta0,
                                                        np.random.default_rng(3))])

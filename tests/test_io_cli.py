@@ -130,6 +130,21 @@ def test_pattern_reader_names_a_malformed_row(tmp_path, last_row):
         read_pattern(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan", "'nan' is not finite; mark a missing response NA"),
+    ("inf", "'inf' is not finite; mark a missing response NA"),
+    ("-inf", "'-inf' is not finite; mark a missing response NA"),
+    ("2.0,7", "expected one field; got '2.0,7'"),
+    ("NA,1", "expected one field; got 'NA,1'"),
+    (" ", "empty field; use the explicit NA token"),
+])
+def test_response_reader_names_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "y.csv"
+    path.write_text(f"y\n1.0\nNA\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"y.csv, line 4: {message}")):
+        read_response(path)
+
+
 @pytest.mark.parametrize("token", ["abc", "1.0.0", "1,5"])
 def test_response_reader_names_a_non_numeric_token(tmp_path, token):
     path = tmp_path / "y.csv"
@@ -251,8 +266,22 @@ def test_cli_fit_hvb_nob_mar(tmp_path):
     cfg.write_text(json.dumps(run_config(ds, "hvb-nob", run_dir)))
     assert main(["fit", "--config", str(cfg)]) == 0
     summary = json.loads((run_dir / "summary.json").read_text())
-    assert summary["tuning"]["scheme"] == "direct"
+    assert summary["tuning"]["scheme"] == "nob"
+    assert summary["tuning"]["mean_acceptance"] is None
     assert summary["flags"]["elbo_is_proxy"] is True
+
+
+def test_cli_fit_hvb_g_runs_the_allb_scheme_under_mar(tmp_path):
+    ds = make_dataset(tmp_path)
+    run_dir = tmp_path / "run_hvb_g"
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(run_config(ds, "hvb-g", run_dir)))
+    assert main(["fit", "--config", str(cfg)]) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["method"] == "hvb-g"
+    assert summary["tuning"]["scheme"] == "allb"
+    assert summary["tuning"]["n1"] == 5
+    assert summary["tuning"]["mean_acceptance"] is None
 
 
 def test_cli_fit_hvb_allb_mnar_and_hvb_g_guard(tmp_path):
@@ -733,6 +762,8 @@ def test_cli_fit_names_a_bad_pattern_index(tmp_path, capsys, index, message):
     ("pattern.csv", "15,1,0", "expected two integers index,m; got '15,1,0'"),
     ("pattern.csv", "15,x", "expected two integers index,m; got '15,x'"),
     ("y.csv", "abc", "'abc' is neither a number nor NA"),
+    ("y.csv", "inf", "'inf' is not finite; mark a missing response NA"),
+    ("y.csv", "2.0,7", "expected one field; got '2.0,7'"),
 ])
 def test_cli_fit_names_a_malformed_row(tmp_path, capsys, name, row, message):
     ds = make_dataset(tmp_path)

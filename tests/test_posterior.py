@@ -232,7 +232,7 @@ def test_lu_backend_path_through_fit(grid7):
                        mechanism="mar", evaluations=0)
     assert lu.ops.eigenvalues is None
     theta0 = default_init_theta(exact)
-    cfg = McmcConfig(scheme="direct", n1=1)
+    cfg = McmcConfig(scheme="nob", n1=1)
     r_exact = hvb_fit(exact, theta0, 1500, 2, cfg, np.random.default_rng(3), seed=3)
     r_lu = hvb_fit(lu, theta0, 1500, 2, cfg, np.random.default_rng(3), seed=3)
     assert r_lu.flags["skipped_iterations"] == 0

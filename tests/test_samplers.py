@@ -340,7 +340,9 @@ def test_nob_without_selection_is_one_exact_draw(n1, given_init):
 
 
 def test_gibbs_leaves_conditional_invariant(grid4):
-    # start at exact conditional draws; sweep moments must match the direct ones
+    # start at exact conditional draws; sweep moments must match the direct
+    # ones, for the systematic ("allb") and the random-scan ("randomb",
+    # one block a visit) sweep
     x, params, y, _, _ = random_instance(grid4, 5)
     m = np.zeros(16, dtype=np.int8)
     m[[0, 3, 6, 9, 11, 14]] = 1
@@ -350,19 +352,20 @@ def test_gibbs_leaves_conditional_invariant(grid4):
     assert part.k == 2
     plan = GmrfPlan(grid4, pattern)
     cg = mar_conditional(params, y_o, x, plan)
-    rng = np.random.default_rng(7)
-    n_rep = 8_000
-    states = np.empty((n_rep, pattern.n_u))
-    for i in range(n_rep):
-        start = sample_conditional(cg, rng)
-        states[i] = mcmc_block(params, None, y_o, part, x, plan, "allb", 2, rng,
-                               y_u_init=start)[0]
     cov_true = cg_covariance(cg)
-    se_mean = np.sqrt(np.diag(cov_true) / n_rep)
-    assert np.all(np.abs(states.mean(axis=0) - cg.mean) < 5 * se_mean)
-    d = np.sqrt(np.outer(np.diag(cov_true), np.diag(cov_true)))
-    se_cov = np.sqrt((cov_true ** 2 + d ** 2) / n_rep)
-    assert np.all(np.abs(np.cov(states.T) - cov_true) < 5 * se_cov)
+    for scheme in ("allb", "randomb"):
+        rng = np.random.default_rng(7)
+        n_rep = 8_000
+        states = np.empty((n_rep, pattern.n_u))
+        for i in range(n_rep):
+            start = sample_conditional(cg, rng)
+            states[i] = mcmc_block(params, None, y_o, part, x, plan, scheme, 2, rng,
+                                   y_u_init=start, k_prime=1)[0]
+        se_mean = np.sqrt(np.diag(cov_true) / n_rep)
+        assert np.all(np.abs(states.mean(axis=0) - cg.mean) < 5 * se_mean), scheme
+        d = np.sqrt(np.outer(np.diag(cov_true), np.diag(cov_true)))
+        se_cov = np.sqrt((cov_true ** 2 + d ** 2) / n_rep)
+        assert np.all(np.abs(np.cov(states.T) - cov_true) < 5 * se_cov), scheme
 
 
 def test_gibbs_chain_converges_to_direct_sampler(grid4):

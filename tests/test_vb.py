@@ -8,7 +8,7 @@ from spatialvb import (AdadeltaState, HmcConfig, McmcConfig,
                        TargetDensity, VParams, adadelta_step,
                        draw_variational, hvb_fit,
                        hvb_gradient_estimate, jvb_fit, jvb_gradient_estimate,
-                       woodbury_logdet, woodbury_solve)
+                       make_blocks, woodbury_logdet, woodbury_solve)
 from spatialvb import vb
 from spatialvb.vb import ReparamDraw, default_init_theta, hmc_fit, structural_mask
 
@@ -365,7 +365,7 @@ def test_hvb_fit_degenerate_no_missing_matches_jvb():
     m0 = np.array([0.8, -1.2, 0.4])
     s0 = np.diag([0.6, 0.9, 0.5])
     target = GaussianTarget(m0, s0)  # n_u = 0
-    cfg = McmcConfig(scheme="direct", n1=1)
+    cfg = McmcConfig(scheme="nob", n1=1)
     res_h = hvb_fit(target, np.zeros(3), 6000, 1, cfg,
                     np.random.default_rng(2), seed=2)
     res_j = jvb_fit(target, np.zeros(3), 6000, 1, np.random.default_rng(3), seed=3)
@@ -374,11 +374,29 @@ def test_hvb_fit_degenerate_no_missing_matches_jvb():
     assert res_h.yu_mean.size == 0
 
 
-def test_hvb_fit_rejects_incompatible_scheme():
-    target = GaussianTarget(np.zeros(3), np.eye(3))  # mechanism "mar"
-    with pytest.raises(ValueError):
-        hvb_fit(target, np.zeros(3), 10, 1,
-                McmcConfig(scheme="nob", n1=2), np.random.default_rng(0))
+@pytest.mark.parametrize("scheme", ["direct", "gibbs"])
+def test_mcmc_config_takes_only_the_three_sampler_schemes(scheme):
+    # the mechanism, not the scheme name, picks the exact/Gibbs or Metropolis draw
+    with pytest.raises(ValueError, match=f"unknown sampler scheme '{scheme}'"):
+        McmcConfig(scheme=scheme, n1=1)
+
+
+def test_hvb_fit_runs_every_scheme_under_mar(grid4):
+    # with no selection model each scheme draws y_u exactly or by Gibbs
+    # sweeps, so no acceptance is recorded; the method tag defaults to "hvb"
+    x, _, y, pattern, _ = random_instance(grid4, 31, missing=0.5)
+    target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
+                           pattern=pattern, mechanism="mar")
+    part = make_blocks(pattern, 3, seed=0)
+    for scheme in ("nob", "allb", "randomb"):
+        cfg = McmcConfig(scheme=scheme, n1=2, k_prime=1,
+                         partition=None if scheme == "nob" else part)
+        res = hvb_fit(target, default_init_theta(target), 20, 1, cfg,
+                      np.random.default_rng(0))
+        assert res.method == "hvb"
+        assert res.tuning["scheme"] == scheme
+        assert res.tuning["mean_acceptance"] is None
+        assert np.all(np.isfinite(res.yu_mean)) and np.all(np.isfinite(res.yu_sd))
 
 
 def test_trajectory_und_trace_lengths():
@@ -430,7 +448,7 @@ def test_exact_elbo_nondecreasing_on_conjugate_target():
 
 def test_hvb_fit_deterministic_under_seed():
     target = GaussianTarget(np.zeros(3), np.eye(3))
-    cfg = McmcConfig(scheme="direct", n1=1)
+    cfg = McmcConfig(scheme="nob", n1=1)
     r1 = hvb_fit(target, np.zeros(3), 200, 1, cfg, np.random.default_rng(6), seed=6)
     r2 = hvb_fit(target, np.zeros(3), 200, 1, cfg, np.random.default_rng(6), seed=6)
     np.testing.assert_array_equal(r1.vparams.mu, r2.vparams.mu)
@@ -442,7 +460,7 @@ def _fit(kind, target):
     rng = np.random.default_rng(0)
     if kind == "jvb":
         return jvb_fit(target, np.zeros(3), 30, 1, rng)
-    return hvb_fit(target, np.zeros(3), 30, 1, McmcConfig(scheme="direct", n1=1), rng)
+    return hvb_fit(target, np.zeros(3), 30, 1, McmcConfig(scheme="nob", n1=1), rng)
 
 
 @pytest.mark.parametrize("kind", ["jvb", "hvb"])
