@@ -4,8 +4,9 @@
 These runs are deliberately NOT part of the acceptance test suite;
 runtimes are hardware-dependent and not asserted anywhere. With the default
 10,000 iterations, on one BLAS thread of a 2-vCPU VM, `mar` took 165 s
-(JVB 30 s and HVB-G 101 s of fitting, each after a ~16-s spectrum of W) and
-`mnar` 393 s (JVB 32 s, HVB-AllB 213 s, HVB-3B 99 s). Start with --scale to
+(JVB 30 s and HVB-G 101 s of fitting, each after a spectrum of W, which then
+took ~16 s and now takes 3.4-3.9 s, solved at half order on the bipartite
+grid) and `mnar` 393 s (JVB 32 s, HVB-AllB 213 s, HVB-3B 99 s). Start with --scale to
 rehearse the pipeline at n = 1,600 first.
 
     python scripts/reproduce_tables.py mar            # HVB-G vs JVB table

@@ -4,9 +4,10 @@ The response of the model is multivariate Gaussian with mean X beta and
 covariance sigma2 * (A^T A)^{-1}, where A = I - rho W. All operations here
 are pure; the heavy pieces (log-determinant, trace of M^{-1} dM/drho) are
 served by :class:`PrecisionOps`, exactly and deterministically at every n:
-from the spectrum of W, computed once by a banded eigensolve, when the fit
-plans enough evaluations to repay it, and otherwise from one complex-step
-sparse LU per rho, in a fill-reducing order found once.
+from the spectrum of W, computed once by a banded eigensolve (of half order
+when W is bipartite, as on a rook grid), when the fit plans enough
+evaluations to repay it, and otherwise from one complex-step sparse LU per
+rho, in a fill-reducing order found once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .weights import SpatialWeights, spectrum_bandwidth, weight_eigenvalues
+from .weights import SpatialWeights, spectrum_size, weight_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,29 @@ def _complex_step(rho: float) -> float:
 # no row pivoting: each diagonal entry is its column's pivot (see PrecisionOps.pivots)
 _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
-# One banded eigensolve of W costs about as much as n (bw + 1) / 1,800
-# complex-step LUs, bw being its bandwidth in reverse Cuthill-McKee order.
-# Break-even counts (solve time over one LU at rho = 0.5) measured on rook
-# grids, one BLAS thread of a 2-vCPU VM, two runs:
-#     n       625  1,600  2,500   3,600   4,900  10,000
-#     bw       25     40     50      60      70     100
-#     count 12-13  39-40  68-85 105-110 154-177 412-440
-#     rule      9     36     71     122     193     561
-# The LU with its order found on every call gave 10, 32-33, 58-72, 95-117,
-# 135-159 and 374-379 in the same runs. The constant is the geometric mean
-# of n (bw + 1) / count, which moved from 2,010-2,220 to 1,770-1,870.
-# Both costs follow from n and bw alone, so the choice never reads a clock
+# One banded eigensolve of order m (n, or the smaller colour class of a
+# bipartite W) costs about as much as m^2 (bw + 1) / (1,800 n) complex-step
+# LUs, bw being the bandwidth of W in reverse Cuthill-McKee order. Break-even
+# counts (solve time over one LU at rho = 0.5) and the least count at which
+# the rule holds the spectrum, one BLAS thread of a 2-vCPU VM, two runs
+# (three for Delaunay at 1,600 and 2,500):
+#   half-order solve, rook grids (m = n / 2, rounded down):
+#     n       625  1,600  2,500  3,600  4,900   10,000
+#     bw       25     40     50     60     70      100
+#     count   5-6  10-11     19     32  44-47  112-117
+#     rule      3     10     18     31     49      141
+#   full solve, Delaunay triangulations of random points (odd cycles):
+#     n       625   1,600    2,500    3,600    4,900
+#     bw       63     168      222      216      275
+#     count 19-23  83-139  159-263  371-407  738-775
+#     rule     23     151      310      434      752
+# The constant is the geometric mean of m^2 (bw + 1) / (n count) over the 24
+# runs, 1,850. On rook grids it grows with n, from 720-790 at n = 625, where
+# fixed costs dominate a 7-ms solve, to 2,160-2,260 at n = 10,000, since one
+# LU grows faster than n there (31-34 ms); on Delaunay graphs (1,740-3,510)
+# it shows no trend in n. The solve itself took 1.1-1.6 ns per m^2 (bw + 1)
+# on both from n = 1,600 up.
+# Both costs follow from n, m and bw alone, so the choice never reads a clock
 # and a fixed-seed fit always takes the same backend. They ignore that an LU
 # slows at small |rho|, where parts of its fill turn subnormal (fits start
 # at 0.01): at n = 10,000, 27-29 ms at rho = 0.5, 38-39 ms at 0.01 and
@@ -136,9 +148,11 @@ class PrecisionOps:
     """Log-determinant and trace machinery for M_y(rho) on fixed weights.
 
     Both backends are exact and deterministic. The spectrum of W, computed
-    once (:func:`~spatialvb.weights.weight_eigenvalues`), gives O(n)
-    evaluations of log|M_y| = 2 sum log(1 - rho lam_i) and
-    tr{M_y^{-1} dM_y/drho} = -2 sum lam_i / (1 - rho lam_i). Without it,
+    once (:func:`~spatialvb.weights.weight_eigenvalues`) as values e with a
+    power p, 1 or 2 (bipartite W: the n - 2m zero eigenvalues give factors 1
+    and are left out), gives O(m) evaluations of the pivots u_j = 1 - rho^p e_j,
+    log|M_y| = 2 sum log u_j and
+    tr{M_y^{-1} dM_y/drho} = -2 p rho^(p-1) sum e_j / u_j. Without it,
     one sparse LU of I - (rho + ih) W per rho gives both from its pivots
     u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
     differentiation, tr{M_y^{-1} dM_y/drho} = 2 sum (Im u_ii / Re u_ii) / h,
@@ -148,8 +162,9 @@ class PrecisionOps:
 
     ``evaluations`` is the number of :meth:`pivots` calls the caller plans.
     The spectrum is held iff its one-off solve costs no more than that many
-    LUs, a cost model in n and the bandwidth of W only; ``evaluations=0``
-    always takes the LU.
+    LUs, a cost model in n, the order m of the solve and the bandwidth of W
+    only; ``evaluations=0`` always takes the LU. ``eigenvalues`` is None on
+    the LU, and otherwise holds e, with ``power`` p.
     """
 
     n_probes = 0  # no stochastic probes remain
@@ -158,9 +173,11 @@ class PrecisionOps:
         self.weights = w
         self.eigenvalues = None
         self._lu_pattern = None  # found by the first LU: see _permuted_pattern
-        band_entries = w.n * (spectrum_bandwidth(w) + 1)
-        if evaluations * _BAND_ENTRIES_PER_LU >= band_entries:
-            self.eigenvalues = weight_eigenvalues(w)
+        self.power = 1
+        m, bw = spectrum_size(w)
+        # the solve costs about m^2 (bw + 1) / (n _BAND_ENTRIES_PER_LU) LUs
+        if evaluations * _BAND_ENTRIES_PER_LU * w.n >= m * m * (bw + 1):
+            self.eigenvalues, self.power = weight_eigenvalues(w)
 
     def _permuted_pattern(self) -> tuple:
         """CSC indices and indptr of P (I - z W) P', P the fill-reducing
@@ -186,7 +203,7 @@ class PrecisionOps:
         return self._lu_pattern
 
     def pivots(self, rho: float) -> np.ndarray:
-        """The pivots of I - rho W at one rho: the factors 1 - rho lam_i of
+        """The pivots of I - rho W at one rho: the factors 1 - rho^p e_j of
         its determinant when the spectrum is held, otherwise the complex
         pivots u_ii of I - (rho + ih) W. Pass them to :meth:`logdet_m` and
         :meth:`trace_minv_dm` at the same rho to share one computation.
@@ -199,7 +216,7 @@ class PrecisionOps:
         if not -1.0 < rho < 1.0:
             raise np.linalg.LinAlgError(f"rho={rho} outside admissible interval (-1, 1)")
         if self.eigenvalues is not None:
-            return 1.0 - rho * self.eigenvalues
+            return 1.0 - rho ** self.power * self.eigenvalues
         indices, indptr, diag, entries = self._permuted_pattern()
         data = np.zeros(indices.size, dtype=complex)
         data[entries] = -complex(rho, _complex_step(rho)) * self.weights.matrix.data
@@ -226,7 +243,8 @@ class PrecisionOps:
         """tr{M_y^{-1} dM_y/drho} = d log|M_y| / drho = -2 tr{A^{-1} W}."""
         u = self.pivots(rho) if pivots is None else pivots
         if self.eigenvalues is not None:
-            return float(-2.0 * np.sum(self.eigenvalues / u))
+            p = self.power
+            return float(-2.0 * p * rho ** (p - 1) * np.sum(self.eigenvalues / u))
         return float(2.0 * np.sum(u.imag / u.real) / _complex_step(rho))
 
 

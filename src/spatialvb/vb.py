@@ -411,12 +411,14 @@ def hvb_fit(target, init: np.ndarray, iters: int, p: int,
     flags = {**_fit_flags(skipped, clipped, iters), "elbo_is_proxy": True}
     if warning:
         flags["acceptance_warning"] = warning
-    tuning = {"scheme": sampler_cfg.scheme, "n1": sampler_cfg.n1,
+    # under MAR, nob is one exact draw: no n1 steps and no start to carry
+    exact = sampler_cfg.scheme == "nob" and target.mechanism == "mar"
+    tuning = {"scheme": sampler_cfg.scheme, "n1": None if exact else sampler_cfg.n1,
               "block_size": (sampler_cfg.partition.block_size
                              if sampler_cfg.partition else None),
               "k": sampler_cfg.partition.k if sampler_cfg.partition else None,
               "k_prime": sampler_cfg.k_prime if sampler_cfg.scheme == "randomb" else None,
-              "warm_start": sampler_cfg.warm_start,
+              "warm_start": None if exact else sampler_cfg.warm_start,
               "mean_acceptance": float(np.mean(finite_acc)) if finite_acc else None,
               "yu_window": yu_window, "clip": _CLIP}
     return FitResult(method=method_tag, mechanism=target.mechanism, seed=seed,

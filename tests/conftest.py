@@ -69,6 +69,37 @@ def delaunay_weights(n_points, rng):
     return row_normalize(SpatialWeights(matrix=(c + c.T).tocsr()))
 
 
+def random_grid_weights(side, rng):
+    """Row-normalised weights with random positive symmetric values on a
+    side x side rook grid: bipartite, irregular, and W not symmetric."""
+    raw = build_rook_grid_weights(side).matrix.tocoo()
+    upper = raw.row < raw.col
+    c = sparse.coo_matrix((rng.uniform(0.2, 3.0, size=upper.sum()),
+                           (raw.row[upper], raw.col[upper])), shape=raw.shape)
+    return row_normalize(SpatialWeights(matrix=(c + c.T).tocsr()))
+
+
+def grid_and_triangle_weights(side):
+    """A row-normalised rook grid plus a separate triangle: one bipartite
+    component and one with an odd cycle."""
+    triangle = sparse.csr_matrix(np.ones((3, 3)) - np.eye(3))
+    raw = sparse.block_diag([build_rook_grid_weights(side).matrix, triangle],
+                            format="csr")
+    return row_normalize(SpatialWeights(matrix=raw))
+
+
+def odd_squares(*sides):
+    """Units (r, c) with r + c odd on rook grids of these sides placed one
+    after another, as in a block-diagonal W: the smaller colour class of
+    each grid when its side is odd, and one of two equal ones otherwise."""
+    units, offset = [], 0
+    for side in sides:
+        r, c = np.divmod(np.arange(side * side), side)
+        units.append(offset + np.flatnonzero((r + c) % 2 == 1))
+        offset += side * side
+    return np.concatenate(units)
+
+
 def weights_in_five_layouts():
     """Row-normalised weights of a 5 x 5 torus (every unit has four
     neighbours, so every weight is 0.25, exact in float32) as canonical CSR,

@@ -271,6 +271,25 @@ def test_cli_fit_hvb_nob_mar(tmp_path):
     assert summary["flags"]["elbo_is_proxy"] is True
 
 
+def test_cli_fit_hvb_nob_records_no_n1_or_warm_start_for_the_exact_mar_draw(tmp_path):
+    # under MAR hvb-nob makes one exact draw, which reads neither; under MNAR
+    # both steer its Metropolis chain
+    extra = {"n1": 7, "warm_start": True}
+    mnar = {"kind": "MNAR", "psi_0": 0.2, "psi_xstar": 0.5, "psi_y": -0.2,
+            "covariate_index": 1}
+    for mechanism, recorded in ((None, (None, None)), (mnar, (7, True))):
+        case = tmp_path / ("mnar" if mechanism else "mar")
+        case.mkdir()
+        ds = make_dataset(case, mechanism=mechanism)
+        run_dir = case / "run"
+        cfg = case / "fit.json"
+        cfg.write_text(json.dumps(run_config(ds, "hvb-nob", run_dir, iterations=5,
+                                             extra=extra)))
+        assert main(["fit", "--config", str(cfg)]) == 0
+        tuning = json.loads((run_dir / "summary.json").read_text())["tuning"]
+        assert (tuning["n1"], tuning["warm_start"]) == recorded
+
+
 def test_cli_fit_hvb_g_runs_the_allb_scheme_under_mar(tmp_path):
     ds = make_dataset(tmp_path)
     run_dir = tmp_path / "run_hvb_g"

@@ -11,7 +11,8 @@ from spatialvb import (MissingPattern, SemParams, TargetDensity,
 from spatialvb.sem import PrecisionOps, PrecisionPattern
 from spatialvb.weights import SpatialWeights, weight_eigenvalues
 
-from conftest import delaunay_weights, dense_sem_cov, random_instance
+from conftest import (delaunay_weights, dense_sem_cov, grid_and_triangle_weights,
+                      random_grid_weights, random_instance)
 
 
 def two_unit_weights():
@@ -192,7 +193,20 @@ def test_backend_rule_holds_the_spectrum_when_it_pays():
     w = row_normalize(build_rook_grid_weights(40))
     ops = PrecisionOps(w, evaluations=100)
     assert ops.eigenvalues is not None
-    np.testing.assert_array_equal(ops.eigenvalues, weight_eigenvalues(w))
+    e, power = weight_eigenvalues(w)
+    np.testing.assert_array_equal(ops.eigenvalues, e)
+    assert ops.power == power == 2
+
+
+def test_backend_rule_charges_the_half_order_solve(monkeypatch):
+    # a bipartite n = 10,000 grid: the solve is of order m = 5,000, a quarter
+    # of the full solve's work, so a 200-evaluation fit repays it
+    solved = []
+    monkeypatch.setattr("spatialvb.sem.weight_eigenvalues",
+                        lambda w: solved.append(w) or (np.zeros(w.n // 2), 2))
+    w = row_normalize(build_rook_grid_weights(100))
+    ops = PrecisionOps(w, evaluations=200)
+    assert solved == [w] and ops.power == 2
 
 
 def test_backend_rule_takes_the_lu_for_no_evaluations(monkeypatch, grid3):
@@ -353,3 +367,34 @@ def test_round_trip_unconstrained_to_constrained():
         assert back[3] == pytest.approx(theta[3], abs=1e-12)
         assert back[4] == pytest.approx(theta[4], abs=1e-10)
         np.testing.assert_array_equal(back[5:], theta[5:])
+
+
+_SPECTRUM_GRAPHS = {
+    "rook5": lambda: row_normalize(build_rook_grid_weights(5)),  # one zero
+    "random_grid": lambda: random_grid_weights(12, np.random.default_rng(8)),
+    "grid_and_triangle": lambda: grid_and_triangle_weights(6),   # full solve
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_SPECTRUM_GRAPHS))
+def test_spectrum_backend_matches_dense_oracles(graph):
+    # the dense log-determinant and trace of A = I - rho W carry the rounding
+    # of the held-order LU test (kappa = 1 / (1 - |rho|)); those of M_y = A'A
+    # carry kappa^2 and are read only where kappa <= 100
+    w = _SPECTRUM_GRAPHS[graph]()
+    ops = PrecisionOps(w)
+    assert ops.power == (1 if graph == "grid_and_triangle" else 2)
+    wd = w.matrix.toarray()
+    for rho in (_NEAR_ONE, -_NEAR_ONE, -0.9, 0.01, 0.5, 0.99):
+        kappa = 1.0 / (1.0 - abs(rho))
+        pivots = ops.pivots(rho)
+        logdet, trace = ops.logdet_m(rho, pivots), ops.trace_minv_dm(rho, pivots)
+        a = np.eye(w.n) - rho * wd
+        assert logdet == pytest.approx(2.0 * np.linalg.slogdet(a)[1], rel=1e-12,
+                                       abs=32 * _EPS * (w.n + kappa)), rho
+        assert trace == pytest.approx(-2.0 * np.trace(np.linalg.solve(a, wd)),
+                                      rel=1e-10 + 32 * _EPS * kappa), rho
+        if kappa <= 100:
+            dense = np.linalg.slogdet(PrecisionPattern(w).matrix(rho).toarray())[1]
+            assert logdet == pytest.approx(dense, abs=1e-9), rho
+            assert trace == pytest.approx(_dense_trace_oracle(w, rho), rel=1e-10), rho

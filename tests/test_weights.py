@@ -4,9 +4,10 @@ from scipy import sparse
 
 from spatialvb import build_rook_grid_weights, rho_interval, row_normalize
 from spatialvb.weights import (DegenerateUnitError, SpatialWeights, csr_dot,
-                               csr_dot_t, spectrum_bandwidth, weight_eigenvalues)
+                               csr_dot_t, spectrum_size, weight_eigenvalues)
 
-from conftest import delaunay_weights, weights_in_five_layouts
+from conftest import (delaunay_weights, grid_and_triangle_weights, odd_squares,
+                      random_grid_weights, weights_in_five_layouts)
 
 
 def neighbour_counts(w):
@@ -53,6 +54,22 @@ def test_row_normalize_is_idempotent():
     w = row_normalize(build_rook_grid_weights(4))
     again = row_normalize(w)
     assert abs(w.matrix - again.matrix).max() < 1e-15
+
+
+def test_row_normalize_matches_the_product_with_inverse_row_sums():
+    # the reference D^-1 W, bit for bit, on raw and random-valued grids and
+    # on weights with a stored zero, which the product drops
+    stored_zero = build_rook_grid_weights(3).matrix.copy()
+    stored_zero.data[[0, 2]] = 0.0  # the edge 0-1, both ways
+    for w in (build_rook_grid_weights(7), random_grid_weights(9, np.random.default_rng(2)),
+              SpatialWeights(matrix=stored_zero)):
+        sums = np.asarray(w.matrix.sum(axis=1)).ravel()
+        ref = SpatialWeights(matrix=sparse.diags(1.0 / sums) @ w.matrix,
+                             row_normalized=True).matrix
+        got = row_normalize(w)
+        assert got.row_normalized and got.matrix.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got.matrix, attr), getattr(ref, attr))
 
 
 def test_row_normalize_corner_of_grid3():
@@ -112,46 +129,90 @@ def test_rho_interval_non_bipartite_uses_the_spectrum():
 
 
 def test_weight_eigenvalues_match_nonsymmetric_solve():
-    # irregular weights: W = D^-1 C with C symmetric, random positive values
-    rng = np.random.default_rng(3)
-    raw = build_rook_grid_weights(6).matrix.tocoo()
-    upper = raw.row < raw.col
-    vals = rng.uniform(0.2, 3.0, size=upper.sum())
-    c = sparse.coo_matrix((vals, (raw.row[upper], raw.col[upper])), shape=raw.shape)
-    w = row_normalize(SpatialWeights(matrix=(c + c.T).tocsr()))
-    dense = np.sort(np.linalg.eigvals(w.matrix.toarray()).real)
-    np.testing.assert_allclose(weight_eigenvalues(w), dense, atol=1e-13)
+    # irregular weights: W = D^-1 C with C symmetric, random positive values,
+    # on a 6 x 6 rook grid (bipartite: eigenvalues +-sigma_j, e = sigma^2)
+    w = random_grid_weights(6, np.random.default_rng(3))
+    dense = np.sort(np.linalg.eigvals(w.matrix.toarray()).real ** 2)
+    e, power = weight_eigenvalues(w)
+    assert power == 2
+    np.testing.assert_allclose(e, dense[::2], atol=1e-13)
+    np.testing.assert_allclose(e, dense[1::2], atol=1e-13)
+
+
+def _dense_s(w):
+    m = w.matrix
+    return m.multiply(m.T).sqrt().toarray()
 
 
 def _dense_spectrum(w):
-    m = w.matrix
-    return np.linalg.eigvalsh(m.multiply(m.T).sqrt().toarray())
+    return np.linalg.eigvalsh(_dense_s(w))
+
+
+def _dense_half_spectrum(w, half):
+    """Eigenvalues of the dense (S^2)[U, U] on the units U of ``half``."""
+    s = _dense_s(w)
+    return np.linalg.eigvalsh((s @ s)[np.ix_(half, half)])
 
 
 def test_banded_spectrum_matches_dense_on_an_irregular_graph():
     # Delaunay triangulation of random points: irregular degrees, odd cycles
     w = delaunay_weights(400, np.random.default_rng(11))
-    np.testing.assert_allclose(weight_eigenvalues(w), _dense_spectrum(w), rtol=0,
-                               atol=1e-13)
+    e, power = weight_eigenvalues(w)
+    assert power == 1 and spectrum_size(w)[0] == 400
+    np.testing.assert_allclose(e, _dense_spectrum(w), rtol=0, atol=1e-13)
 
 
 def test_banded_spectrum_matches_dense_on_a_disconnected_graph():
-    # grids of sides 5 and 8 plus a two-unit component
+    # grids of sides 5 and 8 plus a two-unit component, all bipartite: the
+    # smaller class holds 12 + 1 + 32 units
     pair = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     raw = sparse.block_diag([build_rook_grid_weights(5).matrix, pair,
                              build_rook_grid_weights(8).matrix], format="csr")
     w = row_normalize(SpatialWeights(matrix=raw))
-    lam = weight_eigenvalues(w)
-    np.testing.assert_allclose(lam, _dense_spectrum(w), rtol=0, atol=1e-13)
-    # one eigenvalue 1 per component
-    assert np.sum(np.abs(lam - 1.0) < 1e-12) == 3
+    e, power = weight_eigenvalues(w)
+    assert power == 2 and spectrum_size(w)[0] == 45
+    half = np.r_[odd_squares(5), 26, 27 + odd_squares(8)]
+    np.testing.assert_allclose(e, _dense_half_spectrum(w, half), rtol=0, atol=1e-13)
+    # one eigenvalue pair +-1 per component
+    assert np.sum(np.abs(e - 1.0) < 1e-12) == 3
 
 
 def test_banded_spectrum_matches_dense_on_a_rook_grid():
     w = row_normalize(build_rook_grid_weights(40))
-    assert spectrum_bandwidth(w) == 40
-    np.testing.assert_allclose(weight_eigenvalues(w), _dense_spectrum(w), rtol=0,
+    assert spectrum_size(w) == (800, 40)
+    e, power = weight_eigenvalues(w)
+    assert power == 2
+    np.testing.assert_allclose(e, _dense_half_spectrum(w, odd_squares(40)), rtol=0,
                                atol=1e-13)
+
+
+def test_half_spectrum_of_an_odd_sided_grid_leaves_out_its_zero():
+    # 5 x 5: classes of 13 and 12 units, so S has 25 - 2 * 12 = 1 zero
+    # eigenvalue more than its 12 pairs +-sigma_j
+    w = row_normalize(build_rook_grid_weights(5))
+    assert spectrum_size(w) == (12, 5)
+    e, power = weight_eigenvalues(w)
+    assert power == 2
+    np.testing.assert_allclose(e, _dense_half_spectrum(w, odd_squares(5)), rtol=0,
+                               atol=1e-13)
+    lam = _dense_spectrum(w)
+    np.testing.assert_allclose(np.sort(lam ** 2)[1::2], e, rtol=0, atol=1e-13)
+
+
+def test_half_spectrum_of_an_irregular_grid_matches_dense():
+    w = random_grid_weights(20, np.random.default_rng(8))
+    e, power = weight_eigenvalues(w)
+    assert power == 2 and e.size == 200
+    np.testing.assert_allclose(e, _dense_half_spectrum(w, odd_squares(20)), rtol=0,
+                               atol=1e-13)
+
+
+def test_an_odd_cycle_in_any_component_takes_the_full_solve():
+    w = grid_and_triangle_weights(6)
+    assert spectrum_size(w) == (39, 6)
+    e, power = weight_eigenvalues(w)
+    assert power == 1
+    np.testing.assert_allclose(e, _dense_spectrum(w), rtol=0, atol=1e-13)
 
 
 def test_weight_eigenvalues_reject_non_reversible_weights():
