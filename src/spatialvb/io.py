@@ -272,7 +272,6 @@ class Dataset:
     y: np.ndarray                 # NaN at missing positions
     pattern: MissingPattern
     x_star: np.ndarray | None
-    y_full: np.ndarray | None
     truth: dict | None
     digest: str | None = None
 
@@ -326,9 +325,6 @@ def load_dataset(directory) -> Dataset:
     x = read_matrix(d / "X.csv")
     weights = read_weights(d / "W.txt", n=y.shape[0])
     x_star = read_matrix(d / "Xstar.csv") if (d / "Xstar.csv").exists() else None
-    y_full = None
-    if (d / "y_full.csv").exists():
-        y_full, _ = read_response(d / "y_full.csv")
     truth = None
     if (d / "truth.json").exists():
         truth = json.loads((d / "truth.json").read_text())
@@ -342,7 +338,7 @@ def load_dataset(directory) -> Dataset:
     if digest is None:
         digest = dataset_digest(d)
     return Dataset(x=x, weights=weights, y=y, pattern=pattern, x_star=x_star,
-                   y_full=y_full, truth=truth, digest=digest)
+                   truth=truth, digest=digest)
 
 
 # -- fit artifacts ------------------------------------------------------------

@@ -4,10 +4,10 @@ The response of the model is multivariate Gaussian with mean X beta and
 covariance sigma2 * (A^T A)^{-1}, where A = I - rho W. All operations here
 are pure; the heavy pieces (log-determinant, trace of M^{-1} dM/drho) are
 served by :class:`PrecisionOps`, exactly and deterministically at every n:
-from the spectrum of W, computed once by a banded eigensolve (of half order
-when W is bipartite, as on a rook grid), when the fit plans enough
-evaluations to repay it, and otherwise from one complex-step sparse LU per
-rho, in a fill-reducing order found once.
+from the spectrum of W, computed once by a banded eigensolve, when the fit
+plans enough evaluations to repay it, and otherwise from one complex-step
+sparse LU per rho, in a fill-reducing order found once. When W is bipartite,
+as on a rook grid, both work at half order, on the smaller colour class.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
-from .weights import SpatialWeights, spectrum_size, weight_eigenvalues
+from .weights import SpatialWeights, colour_split, two_step, weight_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -115,33 +115,32 @@ def _complex_step(rho: float) -> float:
 _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 # One banded eigensolve of order m (n, or the smaller colour class of a
-# bipartite W) costs about as much as m^2 (bw + 1) / (1,800 n) complex-step
+# bipartite W) costs about as much as m^2 (bw + 1) / (1,400 n) complex-step
 # LUs, bw being the bandwidth of W in reverse Cuthill-McKee order. Break-even
 # counts (solve time over one LU at rho = 0.5) and the least count at which
-# the rule holds the spectrum, one BLAS thread of a 2-vCPU VM, two runs
-# (three for Delaunay at 1,600 and 2,500):
-#   half-order solve, rook grids (m = n / 2, rounded down):
+# the rule holds the spectrum, one BLAS thread of a 2-vCPU VM, two runs:
+#   half-order solve and LU, rook grids (m = n / 2, rounded down):
 #     n       625  1,600  2,500  3,600  4,900   10,000
 #     bw       25     40     50     60     70      100
-#     count   5-6  10-11     19     32  44-47  112-117
-#     rule      3     10     18     31     49      141
-#   full solve, Delaunay triangulations of random points (odd cycles):
-#     n       625   1,600    2,500    3,600    4,900
-#     bw       63     168      222      216      275
-#     count 19-23  83-139  159-263  371-407  738-775
-#     rule     23     151      310      434      752
-# The constant is the geometric mean of m^2 (bw + 1) / (n count) over the 24
-# runs, 1,850. On rook grids it grows with n, from 720-790 at n = 625, where
-# fixed costs dominate a 7-ms solve, to 2,160-2,260 at n = 10,000, since one
-# LU grows faster than n there (31-34 ms); on Delaunay graphs (1,740-3,510)
-# it shows no trend in n. The solve itself took 1.1-1.6 ns per m^2 (bw + 1)
-# on both from n = 1,600 up.
+#     count   7-8     14     25     42  60-61  144-151
+#     rule      3     12     23     40     63      181
+#   full solve and LU, Delaunay triangulations of random points (odd cycles):
+#     n       625   1,600    2,500    3,600      4,900
+#     bw       71     144      198      240        317
+#     count    26 136-141  245-252  470-482  895-1,003
+#     rule     33     166      356      620      1,113
+# The constant is the geometric mean of m^2 (bw + 1) / (n count) over the 22
+# runs, 1,410. On rook grids it grows with n, from 520-550 at n = 625, where
+# fixed costs dominate a 6-ms solve, to 1,670-1,760 at n = 10,000, since one
+# LU grows faster than n there (22-23 ms); on Delaunay graphs (1,550-2,030)
+# it shows no trend in n. On rook grids one half-order LU is 1.3-1.45 times
+# as fast as one of the full-order I - zW (the same runs).
 # Both costs follow from n, m and bw alone, so the choice never reads a clock
 # and a fixed-seed fit always takes the same backend. They ignore that an LU
 # slows at small |rho|, where parts of its fill turn subnormal (fits start
-# at 0.01): at n = 10,000, 27-29 ms at rho = 0.5, 38-39 ms at 0.01 and
-# 49-51 ms at +-0.001.
-_BAND_ENTRIES_PER_LU = 1_800
+# at 0.01): at n = 10,000, 23 ms at rho = 0.5, 33-34 ms at 0.01 and 48-49 ms
+# at 0.001.
+_BAND_ENTRIES_PER_LU = 1_400
 
 
 class PrecisionOps:
@@ -153,18 +152,20 @@ class PrecisionOps:
     and are left out), gives O(m) evaluations of the pivots u_j = 1 - rho^p e_j,
     log|M_y| = 2 sum log u_j and
     tr{M_y^{-1} dM_y/drho} = -2 p rho^(p-1) sum e_j / u_j. Without it,
-    one sparse LU of I - (rho + ih) W per rho gives both from its pivots
-    u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
+    one sparse LU of I - z^p K per rho, z = rho + ih, gives both from its
+    pivots u_ii: log|M_y| = 2 sum log Re u_ii and, by complex-step
     differentiation, tr{M_y^{-1} dM_y/drho} = 2 sum (Im u_ii / Re u_ii) / h,
-    with h = 1e-10 (1 - |rho|). The LU's fill-reducing order depends on the
-    pattern of W alone; it is found at the first LU and held, so each later
+    with h = 1e-10 (1 - |rho|). K is W, or, for bipartite W, the order-m
+    block W[U, V] W[V, U] on the smaller colour class U (see :meth:`pivots`),
+    built at the first LU. The LU's fill-reducing order depends on the
+    pattern of K alone; it is found at the first LU and held, so each later
     rho only writes the values of the permuted matrix and factors them.
 
     ``evaluations`` is the number of :meth:`pivots` calls the caller plans.
     The spectrum is held iff its one-off solve costs no more than that many
     LUs, a cost model in n, the order m of the solve and the bandwidth of W
     only; ``evaluations=0`` always takes the LU. ``eigenvalues`` is None on
-    the LU, and otherwise holds e, with ``power`` p.
+    the LU, and otherwise holds e. ``power`` is p on both backends.
     """
 
     n_probes = 0  # no stochastic probes remain
@@ -173,55 +174,72 @@ class PrecisionOps:
         self.weights = w
         self.eigenvalues = None
         self._lu_pattern = None  # found by the first LU: see _permuted_pattern
-        self.power = 1
-        m, bw = spectrum_size(w)
+        self._half, bw = colour_split(w)
+        self.power = 1 if self._half is None else 2
+        m = w.n if self._half is None else self._half.size
         # the solve costs about m^2 (bw + 1) / (n _BAND_ENTRIES_PER_LU) LUs
         if evaluations * _BAND_ENTRIES_PER_LU * w.n >= m * m * (bw + 1):
-            self.eigenvalues, self.power = weight_eigenvalues(w)
+            self.eigenvalues = weight_eigenvalues(w)[0]
 
     def _permuted_pattern(self) -> tuple:
-        """CSC indices and indptr of P (I - z W) P', P the fill-reducing
-        order SuperLU's MMD finds for the pattern, and the positions of the
-        diagonal and of W's entries (in ``W.data`` order) in its data."""
+        """K, and the CSC indices and indptr of P (I - z^p K) P', P the
+        fill-reducing order SuperLU's MMD finds for the pattern, and the
+        positions of the diagonal and of K's entries (in ``K.data`` order)
+        in its data."""
         if self._lu_pattern is None:
-            n, wm = self.weights.n, self.weights.matrix
+            w = self.weights.matrix
+            k = w if self._half is None else two_step(w, self._half)
+            n = k.shape[0]
             # MMD reads the pattern only, so any rho in (-1, 1) gives this
-            # order. The matrix is complex, as in every later LU: after a
-            # real one, whose blocks are half the size, the allocator held
-            # 6 MB more at the peak of a run of LUs at n = 10,000.
-            # perm_c[i] is the place of unit i in the order.
-            place = splu((sparse.identity(n, dtype=complex, format="csc") - 0.5 * wm).tocsc(),
-                         permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED).perm_c.astype(np.int64)
-            wm = wm.tocoo()
+            # order, and an incomplete LU that drops all it may finds it
+            # without the work of a full one. The matrix is complex, as in
+            # every later LU: after a real one, whose blocks are half the
+            # size, the allocator held 6 MB more at the peak of a run of LUs
+            # at n = 10,000. perm_c[i] is the place of unit i in the order.
+            place = spilu((sparse.identity(n, dtype=complex, format="csc") - 0.5 * k).tocsc(),
+                          drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                          **_UNPIVOTED).perm_c.astype(np.int64)
+            coo = k.tocoo()
             units = np.arange(n)
-            row = place[np.concatenate([units, wm.row])]
-            col = place[np.concatenate([units, wm.col])]
+            row = place[np.concatenate([units, coo.row])]
+            col = place[np.concatenate([units, coo.col])]
             keys, slot = np.unique(col * n + row, return_inverse=True)
             indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-            self._lu_pattern = ((keys % n).astype(np.intc), indptr.astype(np.intc),
+            self._lu_pattern = (k, (keys % n).astype(np.intc), indptr.astype(np.intc),
                                 slot[:n], slot[n:])
         return self._lu_pattern
 
     def pivots(self, rho: float) -> np.ndarray:
         """The pivots of I - rho W at one rho: the factors 1 - rho^p e_j of
         its determinant when the spectrum is held, otherwise the complex
-        pivots u_ii of I - (rho + ih) W. Pass them to :meth:`logdet_m` and
-        :meth:`trace_minv_dm` at the same rho to share one computation.
-        rho outside (-1, 1) raises LinAlgError on both backends.
+        pivots u_ii of I - z^p K, z = rho + ih. Pass them to
+        :meth:`logdet_m` and :meth:`trace_minv_dm` at the same rho to share
+        one computation. rho outside (-1, 1) raises LinAlgError on both
+        backends.
 
-        The LU does not pivot: for |rho| < 1 and row-normalised W the matrix
-        is strictly row diagonally dominant, symmetric reordering keeps that,
-        and elimination then meets only pivots with positive real part.
+        K = W and p = 1, unless W is bipartite. Then W[U, U] = 0 and
+        W[V, V] = 0, U the smaller colour class and V the rest, and
+        eliminating V, whose block of I - zW is the identity, leaves
+        det(I - zW) = det(I - z^2 K) with K = W[U, V] W[V, U] of order |U|
+        (Cvetkovic, Doob & Sachs 1980); so p = 2. rho -> log det(I - rho^2 K)
+        is analytic, so the complex step still differentiates it in rho.
+
+        The LU does not pivot. For row-normalised W, K is row-stochastic,
+        W or a product of two row-stochastic blocks, so I - tK is strictly
+        row diagonally dominant for |t| < 1, and |z^p| < 1 here; symmetric
+        reordering keeps that, and elimination then meets only pivots with
+        positive real part.
         """
         if not -1.0 < rho < 1.0:
             raise np.linalg.LinAlgError(f"rho={rho} outside admissible interval (-1, 1)")
         if self.eigenvalues is not None:
             return 1.0 - rho ** self.power * self.eigenvalues
-        indices, indptr, diag, entries = self._permuted_pattern()
+        k, indices, indptr, diag, entries = self._permuted_pattern()
+        z = complex(rho, _complex_step(rho))
         data = np.zeros(indices.size, dtype=complex)
-        data[entries] = -complex(rho, _complex_step(rho)) * self.weights.matrix.data
+        data[entries] = -(z if self.power == 1 else z * z) * k.data
         data[diag] += 1.0
-        n = self.weights.n
+        n = k.shape[0]
         lu = splu(sparse.csc_matrix((data, indices, indptr), shape=(n, n)),
                   permc_spec="NATURAL", **_UNPIVOTED)
         u = lu.U.diagonal()

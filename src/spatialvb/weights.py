@@ -225,14 +225,22 @@ def _rcm_rank(m: sparse.csr_matrix) -> tuple[np.ndarray, int]:
     return rank, int(np.max(np.abs(rank[coo.row] - rank[coo.col]), initial=0))
 
 
-def spectrum_size(w: SpatialWeights) -> tuple[int, int]:
-    """(m, bw): the order m of the matrix whose eigenvalues
-    :func:`weight_eigenvalues` computes, n or the smaller colour class of a
-    bipartite W, and the bandwidth bw of W in reverse Cuthill-McKee order,
-    the side of a rook grid. O(nnz), no eigensolve."""
+def colour_split(w: SpatialWeights) -> tuple[np.ndarray | None, int]:
+    """(U, bw): the smaller colour class U of a bipartite W, on which
+    :func:`weight_eigenvalues` solves, or None when some component has an
+    odd cycle, and the bandwidth bw of W in reverse Cuthill-McKee order, the
+    side of a rook grid. O(nnz), no eigensolve."""
     m = _pruned(w)
-    half = _smaller_colour_class(m, _spanning_forest(m)[2])
-    return (w.n if half is None else half.size), _rcm_rank(m)[1]
+    return _smaller_colour_class(m, _spanning_forest(m)[2]), _rcm_rank(m)[1]
+
+
+def two_step(m: sparse.csr_matrix, half: np.ndarray) -> sparse.csr_matrix:
+    """m[U, V] m[V, U] for U the units of ``half`` and V the rest. When the
+    graph of ``m`` joins no two units of one class, eliminating V from
+    I - t m leaves I - t^2 m[U, V] m[V, U]."""
+    other = np.ones(m.shape[0], dtype=bool)
+    other[half] = False
+    return (m[half][:, other] @ m[other][:, half]).tocsr()
 
 
 def weight_eigenvalues(w: SpatialWeights) -> tuple[np.ndarray, int]:
@@ -268,10 +276,7 @@ def weight_eigenvalues(w: SpatialWeights) -> tuple[np.ndarray, int]:
         rank, bw = _rcm_rank(m)             # S has the pattern of W
         power = 1
     else:
-        other = np.ones(w.n, dtype=bool)
-        other[half] = False
-        b = s[half][:, other]
-        s = (b @ b.T).tocsr()
+        s = two_step(s, half)
         rank, bw = _rcm_rank(s)
         power = 2
     s = s.tocoo()

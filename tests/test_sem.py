@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 from scipy.stats import multivariate_normal
 
 from spatialvb import (MissingPattern, SemParams, TargetDensity,
                        build_rook_grid_weights, row_normalize, sem_log_likelihood)
 from spatialvb.sem import PrecisionOps, PrecisionPattern
-from spatialvb.weights import SpatialWeights, weight_eigenvalues
+from spatialvb.weights import SpatialWeights, colour_split, two_step, weight_eigenvalues
 
 from conftest import (delaunay_weights, dense_sem_cov, grid_and_triangle_weights,
                       random_grid_weights, random_instance)
@@ -239,12 +239,20 @@ _NEAR_ONE = 1.0 - 1e-7
 _LU_RHOS = (_NEAR_ONE, -_NEAR_ONE, -0.9, 1e-3, 0.01, 0.5, 0.99)
 
 
-def _per_call_mmd_logdet_and_trace(w, rho):
-    """log|M_y| and its rho-derivative from the complex-step LU as it was
-    before its order was held: SuperLU's MMD order found anew for
-    I - (rho + ih) W on every call, with a fixed step h = 1e-30."""
+def _lu_operator(w):
+    """(K, p) of the operator I - z^p K that the LU factors: K = W and
+    p = 1, or, when W is bipartite, K = W[U, V] W[V, U] on its smaller
+    colour class U and p = 2."""
+    half, _ = colour_split(w)
+    return (w.matrix, 1) if half is None else (two_step(w.matrix, half), 2)
+
+
+def _per_call_mmd_logdet_and_trace(k, p, rho):
+    """log|M_y| and its rho-derivative from the complex-step LU of
+    I - z^p K, z = rho + ih, as it was before its order was held: SuperLU's
+    MMD order found anew on every call, with a fixed step h = 1e-30."""
     h = 1e-30
-    a = (sparse.identity(w.n, format="csc") - complex(rho, h) * w.matrix).tocsc()
+    a = (sparse.identity(k.shape[0], format="csc") - complex(rho, h) ** p * k).tocsc()
     lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     u = lu.U.diagonal()
@@ -271,24 +279,99 @@ def test_held_order_lu_matches_the_per_call_order_and_the_spectrum(graph):
     # Tolerances from the rounding of each side: a sum of n logs of numbers
     # near 1 carries about n eps absolutely, and near rho = +-1 the smallest
     # pivot carries about kappa eps relatively, kappa = 1 / (1 - |rho|); the
-    # largest seen are 9 eps (n + kappa) and 4.5 eps kappa. The two LUs
-    # eliminate in one order and agree in the trace to 1e-10 at every rho,
-    # near +-1 included; with a fixed step of 1e-10 the 60 x 60 grid misses
-    # that there by about 20 times.
+    # largest seen are 9 eps (n + kappa) and 4.5 eps kappa. The held-order
+    # LU and a per-call LU of the same operator eliminate in one order and
+    # agree in the trace to 1e-10 at every rho, near +-1 included; with a
+    # fixed step of 1e-10 the 60 x 60 grid misses that there by about 20
+    # times. The half-order operator of a bipartite W and the full-order one
+    # eliminate differently, so they agree only within the rounding bound.
     w = _LU_GRAPHS[graph]()
     lu = PrecisionOps(w, evaluations=0)
     spectrum = PrecisionOps(w)
     assert lu.eigenvalues is None and spectrum.eigenvalues is not None
+    k, p = _lu_operator(w)
+    assert lu.power == spectrum.power == p
     for rho in _LU_RHOS:
         kappa = 1.0 / (1.0 - abs(rho))
         pivots = lu.pivots(rho)
         logdet, trace = lu.logdet_m(rho, pivots), lu.trace_minv_dm(rho, pivots)
-        ref_logdet, ref_trace = _per_call_mmd_logdet_and_trace(w, rho)
+        ref_logdet, ref_trace = _per_call_mmd_logdet_and_trace(k, p, rho)
+        full_logdet, full_trace = _per_call_mmd_logdet_and_trace(w.matrix, 1, rho)
         logdet_tol = {"rel": 1e-12, "abs": 32 * _EPS * (w.n + kappa)}
+        trace_rel = 1e-10 + 32 * _EPS * kappa
         assert logdet == pytest.approx(ref_logdet, **logdet_tol), rho
+        assert logdet == pytest.approx(full_logdet, **logdet_tol), rho
         assert logdet == pytest.approx(spectrum.logdet_m(rho), **logdet_tol), rho
         assert trace == pytest.approx(ref_trace, rel=1e-10), rho
-        assert trace == pytest.approx(spectrum.trace_minv_dm(rho),
+        assert trace == pytest.approx(full_trace, rel=trace_rel), rho
+        assert trace == pytest.approx(spectrum.trace_minv_dm(rho), rel=trace_rel), rho
+
+
+def _mmd_orders(k):
+    """perm_c of SuperLU's MMD for I - 0.5 K, from a complete LU and from an
+    incomplete one that drops all it may."""
+    a = (sparse.identity(k.shape[0], dtype=complex, format="csc") - 0.5 * k).tocsc()
+    unpivoted = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    return (splu(a, permc_spec="MMD_AT_PLUS_A", **unpivoted).perm_c,
+            spilu(a, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0, fill_factor=1,
+                  **unpivoted).perm_c)
+
+
+@pytest.mark.parametrize("graph", sorted(_LU_GRAPHS) + ["delaunay2500"])
+def test_incomplete_lu_finds_the_order_of_the_complete_one(graph):
+    # the held order comes from an incomplete LU, which reads the same
+    # pattern as a complete one and so must order it the same way, on both
+    # the full-order operator and, for a bipartite W, the half-order one
+    if graph == "delaunay2500":
+        w = delaunay_weights(2_500, np.random.default_rng(1))
+    else:
+        w = _LU_GRAPHS[graph]()
+    for k in {id(m): m for m in (w.matrix, _lu_operator(w)[0])}.values():
+        complete, incomplete = _mmd_orders(k)
+        np.testing.assert_array_equal(incomplete, complete)
+
+
+def _non_reversible_grid_weights(side, rng):
+    """Row-normalised random positive weights on a rook grid with no
+    symmetric form: W_ij and W_ji drawn apart."""
+    raw = build_rook_grid_weights(side).matrix
+    raw.data = rng.uniform(0.2, 3.0, size=raw.nnz)
+    return row_normalize(SpatialWeights(matrix=raw))
+
+
+_HALF_ORDER_GRAPHS = {
+    "rook5": lambda: row_normalize(build_rook_grid_weights(5)),   # classes 13, 12
+    "two_grids": _two_grids_side_by_side,
+    "non_reversible": lambda: _non_reversible_grid_weights(8, np.random.default_rng(3)),
+    "grid_and_triangle": lambda: grid_and_triangle_weights(6),    # odd cycle: p = 1
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_HALF_ORDER_GRAPHS))
+def test_lu_backend_matches_dense_oracles(graph):
+    # tolerances as for the spectrum below; the non-reversible W has no
+    # symmetric form, so only the LU serves it
+    w = _HALF_ORDER_GRAPHS[graph]()
+    if graph == "non_reversible":
+        with pytest.raises(ValueError, match="no symmetric form"):
+            weight_eigenvalues(w)
+    ops = PrecisionOps(w, evaluations=0)
+    half, _ = colour_split(w)
+    assert ops.power == (1 if graph == "grid_and_triangle" else 2)
+    assert ops.pivots(0.5).size == (w.n if half is None else half.size)
+    # at rho = 0, z^2 = -h^2 is real, so the half-order trace is exactly 0;
+    # I - ihW leaves an O(h^2) relative truncation error on odd cycles
+    assert ops.logdet_m(0.0) == 0.0
+    assert abs(ops.trace_minv_dm(0.0)) <= (0.0 if ops.power == 2 else 1e-15)
+    wd = w.matrix.toarray()
+    for rho in (_NEAR_ONE, -_NEAR_ONE, -0.9, 0.01, 0.5, 0.99):
+        kappa = 1.0 / (1.0 - abs(rho))
+        pivots = ops.pivots(rho)
+        logdet, trace = ops.logdet_m(rho, pivots), ops.trace_minv_dm(rho, pivots)
+        a = np.eye(w.n) - rho * wd
+        assert logdet == pytest.approx(2.0 * np.linalg.slogdet(a)[1], rel=1e-12,
+                                       abs=32 * _EPS * (w.n + kappa)), rho
+        assert trace == pytest.approx(-2.0 * np.trace(np.linalg.solve(a, wd)),
                                       rel=1e-10 + 32 * _EPS * kappa), rho
 
 
@@ -307,12 +390,15 @@ def test_lu_pivots_are_a_pure_function_of_rho():
 def test_one_precision_ops_finds_its_order_once(monkeypatch):
     orderings = []
 
-    def counting_splu(a, permc_spec=None, **kwargs):
-        if permc_spec != "NATURAL":
-            orderings.append(permc_spec)
-        return splu(a, permc_spec=permc_spec, **kwargs)
+    def counting(factor):
+        def counted(a, permc_spec=None, **kwargs):
+            if permc_spec != "NATURAL":
+                orderings.append(permc_spec)
+            return factor(a, permc_spec=permc_spec, **kwargs)
+        return counted
 
-    monkeypatch.setattr("spatialvb.sem.splu", counting_splu)
+    monkeypatch.setattr("spatialvb.sem.splu", counting(splu))
+    monkeypatch.setattr("spatialvb.sem.spilu", counting(spilu))
     ops = PrecisionOps(row_normalize(build_rook_grid_weights(10)), evaluations=0)
     for rho in (0.01, 0.5, -0.3, 0.01):
         ops.logdet_m(rho)

@@ -4,7 +4,7 @@ from scipy import sparse
 
 from spatialvb import build_rook_grid_weights, rho_interval, row_normalize
 from spatialvb.weights import (DegenerateUnitError, SpatialWeights, csr_dot,
-                               csr_dot_t, spectrum_size, weight_eigenvalues)
+                               csr_dot_t, colour_split, weight_eigenvalues)
 
 from conftest import (delaunay_weights, grid_and_triangle_weights, odd_squares,
                       random_grid_weights, weights_in_five_layouts)
@@ -158,7 +158,7 @@ def test_banded_spectrum_matches_dense_on_an_irregular_graph():
     # Delaunay triangulation of random points: irregular degrees, odd cycles
     w = delaunay_weights(400, np.random.default_rng(11))
     e, power = weight_eigenvalues(w)
-    assert power == 1 and spectrum_size(w)[0] == 400
+    assert power == 1 and colour_split(w)[0] is None
     np.testing.assert_allclose(e, _dense_spectrum(w), rtol=0, atol=1e-13)
 
 
@@ -170,8 +170,9 @@ def test_banded_spectrum_matches_dense_on_a_disconnected_graph():
                              build_rook_grid_weights(8).matrix], format="csr")
     w = row_normalize(SpatialWeights(matrix=raw))
     e, power = weight_eigenvalues(w)
-    assert power == 2 and spectrum_size(w)[0] == 45
+    assert power == 2
     half = np.r_[odd_squares(5), 26, 27 + odd_squares(8)]
+    np.testing.assert_array_equal(colour_split(w)[0], half)
     np.testing.assert_allclose(e, _dense_half_spectrum(w, half), rtol=0, atol=1e-13)
     # one eigenvalue pair +-1 per component
     assert np.sum(np.abs(e - 1.0) < 1e-12) == 3
@@ -179,7 +180,9 @@ def test_banded_spectrum_matches_dense_on_a_disconnected_graph():
 
 def test_banded_spectrum_matches_dense_on_a_rook_grid():
     w = row_normalize(build_rook_grid_weights(40))
-    assert spectrum_size(w) == (800, 40)
+    half, bw = colour_split(w)
+    np.testing.assert_array_equal(half, odd_squares(40))
+    assert bw == 40
     e, power = weight_eigenvalues(w)
     assert power == 2
     np.testing.assert_allclose(e, _dense_half_spectrum(w, odd_squares(40)), rtol=0,
@@ -190,7 +193,9 @@ def test_half_spectrum_of_an_odd_sided_grid_leaves_out_its_zero():
     # 5 x 5: classes of 13 and 12 units, so S has 25 - 2 * 12 = 1 zero
     # eigenvalue more than its 12 pairs +-sigma_j
     w = row_normalize(build_rook_grid_weights(5))
-    assert spectrum_size(w) == (12, 5)
+    half, bw = colour_split(w)
+    np.testing.assert_array_equal(half, odd_squares(5))
+    assert bw == 5
     e, power = weight_eigenvalues(w)
     assert power == 2
     np.testing.assert_allclose(e, _dense_half_spectrum(w, odd_squares(5)), rtol=0,
@@ -209,7 +214,8 @@ def test_half_spectrum_of_an_irregular_grid_matches_dense():
 
 def test_an_odd_cycle_in_any_component_takes_the_full_solve():
     w = grid_and_triangle_weights(6)
-    assert spectrum_size(w) == (39, 6)
+    half, bw = colour_split(w)
+    assert half is None and bw == 6
     e, power = weight_eigenvalues(w)
     assert power == 1
     np.testing.assert_allclose(e, _dense_spectrum(w), rtol=0, atol=1e-13)
