@@ -95,8 +95,9 @@ def check_compatibility(method: str, mechanism: str) -> None:
 
 def planned_evaluations(cfg: RunConfig) -> int:
     """Target evaluations the fit of ``cfg`` plans: one per SGA step, or
-    one per leapfrog step of HMC's first step-size pilot, burn-in and kept
-    samples."""
+    one per leapfrog step of HMC's burn-in and kept samples and of its first
+    step-size pilot, counted at its full PILOT_ITERATIONS though it stops
+    once its verdict is certain."""
     if cfg.method == "hmc":
         h = cfg.hmc
         return (PILOT_ITERATIONS + h["burn_in"] + h["n_samples"]) * h["n_leapfrog"]

@@ -80,7 +80,7 @@ def log_sigmoid_sum(t: np.ndarray) -> float:
     return float(-np.logaddexp(0.0, -t).sum())
 
 
-def _logistic(t: np.ndarray) -> np.ndarray:
+def logistic(t: np.ndarray) -> np.ndarray:
     # logistic via tanh avoids overflow in exp
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
@@ -99,7 +99,7 @@ class SelectionTerms:
 
     @cached_property
     def resid(self) -> np.ndarray:
-        return self.m - _logistic(self.t)
+        return self.m - logistic(self.t)
 
     def log_prob(self) -> float:
         """log p(m | y, psi) = sum_i log logistic(+-t_i), with + where m_i = 1
@@ -130,7 +130,7 @@ def selection_log_prob(m, y: np.ndarray, sel: SelectionModel) -> float:
 
 def selection_probabilities(y: np.ndarray, sel: SelectionModel) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    return _logistic(_predictor(sel.x_star, sel.psi_x, sel.psi_y, y))
+    return logistic(_predictor(sel.x_star, sel.psi_x, sel.psi_y, y))
 
 
 def selection_grad_psi(m, y: np.ndarray, sel: SelectionModel) -> np.ndarray:

@@ -9,12 +9,10 @@ and the HMC baseline consume this interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
-
 import numpy as np
 
-from .missing import MissingPattern, SelectionModel, SelectionTerms
-from .sem import PrecisionOps, SemParams, drho_dlogit, rho_from_logit
+from .missing import MissingPattern, SelectionModel, log_sigmoid_sum, logistic
+from .sem import OutOfSupport, PrecisionOps, SemParams, drho_dlogit, rho_from_logit
 from .weights import SpatialWeights, csr_dot, csr_dot_t, row_sum_gap
 
 RHO_MARGIN = 1e-8
@@ -74,6 +72,11 @@ class TargetDensity:
         if y_obs.shape != (pattern.n_o,):
             raise ValueError(f"y_obs has shape {y_obs.shape}, expected ({pattern.n_o},)")
         self.y_obs = y_obs
+        # the full response with the observed entries in place; each
+        # evaluation copies it and writes y_u into the copy
+        self._y = np.zeros(n)
+        self._y[pattern.observed_idx] = y_obs
+        self._missing = pattern.m == 1
         if mechanism == "mnar":
             # validate x_star once; evaluations read psi straight from theta
             SelectionModel(psi_x=np.zeros(self.x_star.shape[1]), psi_y=0.0,
@@ -122,8 +125,8 @@ class TargetDensity:
     # -- evaluation ----------------------------------------------------
 
     def _split(self, theta: np.ndarray):
-        """(beta, gamma, rho_logit, rho, psi or None); raises ValueError if
-        rho leaves its admissible interval."""
+        """(beta, gamma, rho_logit, rho, psi or None); raises
+        :class:`OutOfSupport` if rho leaves its admissible interval."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.S,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.S},)")
@@ -134,14 +137,15 @@ class TargetDensity:
         # the spectrum of a row-normalised W lies in [-1, 1], so (-1, 1), the
         # image of rho = tanh(l / 2), is inside the admissible interval
         if not (-1.0 + RHO_MARGIN < rho < 1.0 - RHO_MARGIN):
-            raise ValueError(f"rho={rho} outside admissible interval (-1.0, 1.0)")
+            raise OutOfSupport(f"rho={rho} outside admissible interval (-1.0, 1.0)")
         psi = theta[self.n_beta + 2:] if self.mechanism == "mnar" else None
         return beta, gamma, lam, rho, psi
 
     def model_params(self, theta: np.ndarray
                      ) -> tuple[SemParams, SelectionModel | None]:
         """The constrained SEM parameters at theta and, under MNAR, the
-        selection model. Raises ValueError if rho leaves its interval."""
+        selection model. Raises :class:`OutOfSupport` if rho leaves its
+        interval."""
         beta, gamma, _, rho, psi = self._split(theta)
         sel = None
         if psi is not None:
@@ -158,77 +162,88 @@ class TargetDensity:
         parts = [phi.beta, [np.log(phi.sigma2_y), lam]]
         return np.concatenate(parts if psi is None else [*parts, psi])
 
-    def _prepare(self, theta: np.ndarray, y_u: np.ndarray) -> SimpleNamespace:
+    def _evaluate(self, theta: np.ndarray, y_u: np.ndarray, value: bool):
+        """(log h or None, gradient over (theta, y_u)) from one pass; the
+        gradient is one array of length S + n_u, log h is computed only if
+        ``value``. Two sparse products per call, W r and W^T A r; the value
+        alone adds log |M_y| and, under MNAR, the selection log-probability,
+        a logaddexp over n units."""
         beta, gamma, lam, rho, psi = self._split(theta)
         y_u = np.asarray(y_u, dtype=float)
         if y_u.shape != (self.n_u,):
             raise ValueError(f"y_u has shape {y_u.shape}, expected ({self.n_u},)")
-        y = self.pattern.assemble(self.y_obs, y_u)
+        pr, nb, s = self.priors, self.n_beta, self.S
+        u_idx = self.pattern.unobserved_idx
+        y = self._y.copy()
+        y[u_idx] = y_u
         r = y - self.x @ beta
-        wr = csr_dot(self.weights.matrix, r)  # W r and W^T A r: the only products
+        wr = csr_dot(self.weights.matrix, r)
         ar = r - rho * wr                     # A r
         m_r = ar - rho * csr_dot_t(self.weights.matrix, ar)  # M_y r = A^T A r
         quad = float(ar @ ar)                 # r^T M_y r
-        sel = None
-        if psi is not None:
-            sel = SelectionTerms(self.pattern.m, y, self.x_star, psi[:-1], float(psi[-1]))
-        return SimpleNamespace(beta=beta, gamma=gamma, lam=lam, psi=psi, sel=sel,
-                               rho=rho, exp_ng=np.exp(-gamma), r=r, wr=wr, m_r=m_r,
-                               quad=quad, pivots=self.ops.pivots(rho))
-
-    def _value(self, s: SimpleNamespace) -> float:
-        pr = self.priors
-        val = (-0.5 * self.n * s.gamma
-               + 0.5 * self.ops.logdet_m(s.rho, s.pivots)
-               - 0.5 * s.exp_ng * s.quad
-               - 0.5 * float(s.beta @ s.beta) / pr.var_beta
-               - 0.5 * s.gamma ** 2 / pr.var_gamma
-               - 0.5 * s.lam ** 2 / pr.var_rho_logit)
-        if s.sel is not None:
-            val += s.sel.log_prob()
-            val -= 0.5 * float(s.psi @ s.psi) / pr.var_psi
-        return float(val)
-
-    def _grad_theta(self, s: SimpleNamespace) -> np.ndarray:
-        pr = self.priors
-        g_beta = s.exp_ng * (self.x.T @ s.m_r) - s.beta / pr.var_beta
-        g_gamma = -0.5 * self.n + 0.5 * s.exp_ng * s.quad - s.gamma / pr.var_gamma
+        exp_ng = np.exp(-gamma)
+        pivots = self.ops.pivots(rho)
+        grad = np.empty(s + self.n_u)
+        grad[:nb] = exp_ng * (self.x.T @ m_r) - beta / pr.var_beta
+        grad[nb] = -0.5 * self.n + 0.5 * exp_ng * quad - gamma / pr.var_gamma
         # r'(dM/drho)r = -r'(W' + W)r + 2 rho r'W'Wr = -2 r.Wr + 2 rho |Wr|^2
-        r_dm_r = -2.0 * float(s.r @ s.wr) + 2.0 * s.rho * float(s.wr @ s.wr)
-        trace = self.ops.trace_minv_dm(s.rho, s.pivots)
-        dr_dl = drho_dlogit(s.rho)
-        g_lambda = ((0.5 * trace - 0.5 * s.exp_ng * r_dm_r) * dr_dl
-                    - s.lam / pr.var_rho_logit)
-        grad = np.concatenate([g_beta, [g_gamma, g_lambda]])
-        if s.sel is not None:
-            grad = np.concatenate([grad, s.sel.grad_psi() - s.psi / pr.var_psi])
-        return grad
+        r_dm_r = -2.0 * float(r @ wr) + 2.0 * rho * float(wr @ wr)
+        trace = self.ops.trace_minv_dm(rho, pivots)
+        grad[nb + 1] = ((0.5 * trace - 0.5 * exp_ng * r_dm_r) * drho_dlogit(rho)
+                        - lam / pr.var_rho_logit)
+        grad[s:] = -exp_ng * m_r[u_idx]
+        logh = None
+        if value:
+            logh = (-0.5 * self.n * gamma
+                    + 0.5 * self.ops.logdet_m(rho, pivots)
+                    - 0.5 * exp_ng * quad
+                    - 0.5 * float(beta @ beta) / pr.var_beta
+                    - 0.5 * gamma ** 2 / pr.var_gamma
+                    - 0.5 * lam ** 2 / pr.var_rho_logit)
+        if psi is not None:
+            # the selection model at y: t = x* psi_x + psi_y y and m - p
+            psi_x, psi_y = psi[:-1], float(psi[-1])
+            t = self.x_star @ psi_x + psi_y * y
+            resid = self.pattern.m - logistic(t)
+            grad[nb + 2:s - 1] = self.x_star.T @ resid - psi_x / pr.var_psi
+            grad[s - 1] = float(y @ resid) - psi[-1] / pr.var_psi
+            grad[s:] += psi_y * resid[u_idx]
+            if value:
+                logh += log_sigmoid_sum(np.where(self._missing, t, -t))
+                logh -= 0.5 * float(psi @ psi) / pr.var_psi
+        return (None if logh is None else float(logh)), grad
 
-    def _grad_yu(self, s: SimpleNamespace) -> np.ndarray:
-        grad = -s.exp_ng * s.m_r[self.pattern.unobserved_idx]
-        if s.sel is not None:
-            grad = grad + s.sel.grad_y(self.pattern.unobserved_idx)
-        return grad
-
-    # Thin public views on one preparation pass each; none calls another, so
-    # a traced call of one is never counted inside another. ``grads`` skips
-    # the value (log of n pivots; under MNAR, a logaddexp over n units), which
-    # HMC's inner leapfrog steps never read: 0.37 of a call at n = 1,600 MNAR.
+    # Thin public views on one evaluation pass each; none calls another, so a
+    # traced call of one is never counted inside another. Both gradients are
+    # the two parts g[:S] and g[S:] of one array g (see :func:`joint_gradient`).
+    # ``grads`` skips the value, which HMC's inner leapfrog steps never read:
+    # 0.37 of a call at n = 1,600 MNAR.
 
     def log_h(self, theta: np.ndarray, y_u: np.ndarray) -> float:
-        return self._value(self._prepare(theta, y_u))
+        return self._evaluate(theta, y_u, True)[0]
 
     def grad_log_h_theta(self, theta: np.ndarray, y_u: np.ndarray) -> np.ndarray:
-        return self._grad_theta(self._prepare(theta, y_u))
+        return self._evaluate(theta, y_u, False)[1][:self.S]
 
     def grads(self, theta: np.ndarray, y_u: np.ndarray):
-        """(grad wrt theta, grad wrt y_u) from one preparation pass, without
+        """(grad wrt theta, grad wrt y_u) from one evaluation pass, without
         the value: no log|M_y| and, under MNAR, no selection log-probability.
         Bit for bit the gradients of :meth:`log_h_and_grads`."""
-        s = self._prepare(theta, y_u)
-        return self._grad_theta(s), self._grad_yu(s)
+        grad = self._evaluate(theta, y_u, False)[1]
+        return grad[:self.S], grad[self.S:]
 
     def log_h_and_grads(self, theta: np.ndarray, y_u: np.ndarray):
-        """(log h, grad wrt theta, grad wrt y_u) sharing one preparation pass."""
-        s = self._prepare(theta, y_u)
-        return self._value(s), self._grad_theta(s), self._grad_yu(s)
+        """(log h, grad wrt theta, grad wrt y_u) from one evaluation pass."""
+        logh, grad = self._evaluate(theta, y_u, True)
+        return logh, grad[:self.S], grad[self.S:]
+
+
+def joint_gradient(g_theta: np.ndarray, g_yu: np.ndarray) -> np.ndarray:
+    """The gradient over (theta, y_u) whose parts are ``g_theta`` and
+    ``g_yu``. :class:`TargetDensity` returns them as the two parts of one
+    array, which is returned as is; other targets' parts are concatenated."""
+    whole = g_theta.base
+    if (whole is not None and whole is g_yu.base
+            and whole.shape == (g_theta.size + g_yu.size,)):
+        return whole
+    return np.concatenate([g_theta, g_yu])

@@ -18,7 +18,8 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .missing import BlockPartition, MissingPattern, SelectionModel, log_sigmoid_sum
-from .sem import PrecisionPattern, SemParams
+from .posterior import joint_gradient
+from .sem import OutOfSupport, PrecisionPattern, SemParams
 from .weights import SpatialWeights, csr_dot
 
 
@@ -311,7 +312,9 @@ class McmcConfig:
 
 @dataclass
 class HmcConfig:
-    """Fixed-step leapfrog HMC settings; the mass matrix is the identity."""
+    """Fixed-step leapfrog HMC settings; the mass matrix is the identity.
+    The chain keeps ``n_samples`` draws after ``burn_in`` iterations; at
+    least two, so that posterior SDs are defined."""
 
     n_samples: int
     n_leapfrog: int
@@ -323,6 +326,10 @@ class HmcConfig:
             raise ValueError("step_size must be positive")
         if self.n_leapfrog < 1:
             raise ValueError("n_leapfrog must be at least 1")
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples must be at least 2, got {self.n_samples}")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
 
 
 @dataclass
@@ -333,18 +340,16 @@ class HmcResult:
     log_h_trace: np.ndarray
 
 
-_EVAL_ERRORS = (ValueError, np.linalg.LinAlgError)
-
-
 def _joint_logh_grad(target, chi: np.ndarray):
-    """(log h, gradient over chi = (theta, y_u)); (-inf, zeros) where log h
-    cannot be evaluated or is not finite."""
+    """(log h, gradient over chi = (theta, y_u)); (-inf, zeros) where theta
+    is outside the support (:class:`OutOfSupport`) or log h or the gradient
+    is not finite. Every other error propagates."""
     s = target.S
     try:
         val, g_t, g_u = target.log_h_and_grads(chi[:s], chi[s:])
-    except _EVAL_ERRORS:
+    except OutOfSupport:
         return -np.inf, np.zeros(chi.shape[0])
-    grad = np.concatenate([g_t, g_u])
+    grad = joint_gradient(g_t, g_u)
     if not np.isfinite(val) or not np.all(np.isfinite(grad)):
         return -np.inf, np.zeros(chi.shape[0])
     return val, grad
@@ -352,13 +357,13 @@ def _joint_logh_grad(target, chi: np.ndarray):
 
 def _joint_grad(target, chi: np.ndarray) -> np.ndarray | None:
     """Gradient of log h over chi = (theta, y_u), without log h; None where
-    it cannot be evaluated or is not finite."""
+    theta is outside the support or the gradient is not finite."""
     s = target.S
     try:
         g_t, g_u = target.grads(chi[:s], chi[s:])
-    except _EVAL_ERRORS:
+    except OutOfSupport:
         return None
-    grad = np.concatenate([g_t, g_u])
+    grad = joint_gradient(g_t, g_u)
     return grad if np.all(np.isfinite(grad)) else None
 
 
@@ -393,58 +398,82 @@ def leapfrog(target, chi: np.ndarray, s: np.ndarray, grad: np.ndarray, eps: floa
     return chi, s + 0.5 * eps * grad, logh, grad
 
 
-def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
-            rng: np.random.Generator) -> HmcResult:
-    """HMC with L leapfrog steps per iteration over chi = (theta, y_u).
-
-    Potential U = -log h; momenta refresh from N(0, I). A proposal is
-    accepted with probability min(1, exp(H - H*)). A trajectory that
-    :func:`leapfrog` stops counts as a divergence and is rejected. Each
-    iteration evaluates log h once, at the endpoint, and the gradient alone
-    at the L - 1 points before it.
-    """
-    theta0, y_u0 = init
-    chi = np.concatenate([np.asarray(theta0, float), np.asarray(y_u0, float)])
-    dim = chi.shape[0]
+def _start(target, init: tuple[np.ndarray, np.ndarray]):
+    """The state (chi, log h, gradient) of a chain at init = (theta, y_u)."""
+    chi = np.concatenate([np.asarray(init[0], float), np.asarray(init[1], float)])
     logh, grad = _joint_logh_grad(target, chi)
     if not np.isfinite(logh):
         raise ValueError("HMC initial point has non-finite log h")
+    return chi, logh, grad
+
+
+def _transition(target, state, eps: float, n_steps: int, rng: np.random.Generator):
+    """One HMC iteration from ``state`` = (chi, log h, gradient): momenta
+    from N(0, I), ``n_steps`` leapfrog steps of size ``eps``, and acceptance
+    with probability min(1, exp(H - H*)). Returns (state', accepted,
+    diverged); a trajectory :func:`leapfrog` stops is a divergence, and
+    rejected."""
+    chi, logh, grad = state
+    s = rng.standard_normal(chi.shape[0])
+    ham0 = -logh + 0.5 * float(s @ s)
+    chi_new, s_new, logh_new, grad_new = leapfrog(target, chi, s, grad, eps, n_steps)
+    if not np.isfinite(logh_new):
+        return state, False, True
+    ham1 = -logh_new + 0.5 * float(s_new @ s_new)
+    if np.isfinite(ham1) and np.log(rng.random()) < ham0 - ham1:
+        return (chi_new, logh_new, grad_new), True, False
+    return state, False, False
+
+
+def hmc_run(target, cfg: HmcConfig, init: tuple[np.ndarray, np.ndarray],
+            rng: np.random.Generator) -> HmcResult:
+    """HMC with L leapfrog steps per iteration over chi = (theta, y_u):
+    :func:`_transition` ``burn_in + n_samples`` times, keeping the last
+    ``n_samples`` states. Each iteration evaluates log h once, at the
+    endpoint, and the gradient alone at the L - 1 points before it.
+    """
+    state = _start(target, init)
     total = cfg.burn_in + cfg.n_samples
-    chain = np.empty((cfg.n_samples, dim))
+    chain = np.empty((cfg.n_samples, state[0].shape[0]))
     logh_trace = np.empty(cfg.n_samples)
     accepted = 0
     divergences = 0
     for it in range(total):
-        s = rng.standard_normal(dim)
-        ham0 = -logh + 0.5 * float(s @ s)
-        chi_new, s_new, logh_new, grad_new = leapfrog(
-            target, chi, s, grad, cfg.step_size, cfg.n_leapfrog)
-        if np.isfinite(logh_new):
-            ham1 = -logh_new + 0.5 * float(s_new @ s_new)
-            if np.isfinite(ham1) and np.log(rng.random()) < ham0 - ham1:
-                chi, grad, logh = chi_new, grad_new, logh_new
-                accepted += 1
-        else:
-            divergences += 1
+        state, acc, div = _transition(target, state, cfg.step_size, cfg.n_leapfrog, rng)
+        accepted += acc
+        divergences += div
         if it >= cfg.burn_in:
-            chain[it - cfg.burn_in] = chi
-            logh_trace[it - cfg.burn_in] = logh
+            chain[it - cfg.burn_in] = state[0]
+            logh_trace[it - cfg.burn_in] = state[1]
     return HmcResult(chain=chain, accept_rate=accepted / total,
                      divergences=divergences, log_h_trace=logh_trace)
 
 
 PILOT_ITERATIONS = 200
+PILOT_ACCEPTS = 120  # the least count with count / PILOT_ITERATIONS >= 0.6
 
 
 def tune_step_size(target, cfg: HmcConfig, init, rng: np.random.Generator) -> float:
-    """Halve ``cfg.step_size`` until a pilot run of PILOT_ITERATIONS from
-    ``init`` accepts at least 60% of its proposals, at most 20 times."""
+    """Halve ``cfg.step_size``, at most 20 times, until a pilot of at most
+    PILOT_ITERATIONS HMC iterations from ``init`` accepts at least 60% of
+    them, i.e. PILOT_ACCEPTS proposals.
+
+    A pilot stops as soon as its verdict is certain: it passes at its
+    PILOT_ACCEPTS-th accept, and fails once the iterations left can no
+    longer reach that many. Up to that iteration it makes the draws and
+    decisions of a full pilot, so every verdict and the returned step are
+    those of one; it only leaves ``rng`` fewer draws on.
+    """
+    start = _start(target, init)
     eps = cfg.step_size
     for _ in range(20):
-        pilot = HmcConfig(n_samples=PILOT_ITERATIONS, n_leapfrog=cfg.n_leapfrog,
-                          step_size=eps)
-        res = hmc_run(target, pilot, init, rng)
-        if res.accept_rate >= 0.6:
-            return eps
+        state, accepted = start, 0
+        for it in range(1, PILOT_ITERATIONS + 1):
+            state, acc, _ = _transition(target, state, eps, cfg.n_leapfrog, rng)
+            accepted += acc
+            if accepted == PILOT_ACCEPTS:
+                return eps
+            if accepted + PILOT_ITERATIONS - it < PILOT_ACCEPTS:
+                break
         eps *= 0.5
     return eps

@@ -21,6 +21,12 @@ from scipy.sparse.linalg import spilu, splu
 from .weights import SpatialWeights, colour_split, two_step, weight_eigenvalues
 
 
+class OutOfSupport(np.linalg.LinAlgError):
+    """log h is not defined at this point: rho outside (-1, 1), or a
+    non-positive pivot of I - rho W. Samplers treat it as a point of zero
+    density; every other error is a fault and propagates."""
+
+
 @dataclass(frozen=True)
 class SemParams:
     """Constrained model parameters (beta, sigma2_y, rho)."""
@@ -214,8 +220,8 @@ class PrecisionOps:
         its determinant when the spectrum is held, otherwise the complex
         pivots u_ii of I - z^p K, z = rho + ih. Pass them to
         :meth:`logdet_m` and :meth:`trace_minv_dm` at the same rho to share
-        one computation. rho outside (-1, 1) raises LinAlgError on both
-        backends.
+        one computation. rho outside (-1, 1), or a non-positive pivot,
+        raises :class:`OutOfSupport` on both backends.
 
         K = W and p = 1, unless W is bipartite. Then W[U, U] = 0 and
         W[V, V] = 0, U the smaller colour class and V the rest, and
@@ -231,7 +237,7 @@ class PrecisionOps:
         positive real part.
         """
         if not -1.0 < rho < 1.0:
-            raise np.linalg.LinAlgError(f"rho={rho} outside admissible interval (-1, 1)")
+            raise OutOfSupport(f"rho={rho} outside admissible interval (-1, 1)")
         if self.eigenvalues is not None:
             return 1.0 - rho ** self.power * self.eigenvalues
         k, indices, indptr, diag, entries = self._permuted_pattern()
@@ -244,7 +250,7 @@ class PrecisionOps:
                   permc_spec="NATURAL", **_UNPIVOTED)
         u = lu.U.diagonal()
         if not (np.all(u.real > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
-            raise np.linalg.LinAlgError(
+            raise OutOfSupport(
                 f"I - rho W has a non-positive pivot at rho={rho}; rho out of range?")
         return u
 
@@ -253,7 +259,7 @@ class PrecisionOps:
         u = self.pivots(rho) if pivots is None else pivots
         if self.eigenvalues is not None:
             if np.any(u <= 0.0):
-                raise ValueError(f"rho={rho} outside admissible interval")
+                raise OutOfSupport(f"I - rho W has a non-positive pivot at rho={rho}")
             return float(2.0 * np.sum(np.log(u)))
         return float(2.0 * np.sum(np.log(u.real)))
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .posterior import joint_gradient
 from .samplers import (GmrfPlan, HmcConfig, McmcConfig, hmc_run, mar_conditional,
                        mcmc_block, mcmc_nob, sample_conditional, tune_step_size)
 from .sem import SemParams
@@ -151,7 +152,7 @@ def jvb_gradient_estimate(vp: VParams, target, rng: np.random.Generator):
     value, draw = draw_variational(vp, rng)
     s = target.S
     logh, g_theta, g_yu = target.log_h_and_grads(value[:s], value[s:])
-    return _estimate(vp, logh, np.concatenate([g_theta, g_yu]), draw)
+    return _estimate(vp, logh, joint_gradient(g_theta, g_yu), draw)
 
 
 def hvb_gradient_estimate(vp_theta: VParams, target, y_u_sample: np.ndarray,

@@ -2,15 +2,19 @@
 that ``spatialvb.samplers`` must reproduce exactly at a fixed seed: the MNAR
 Metropolis loops before their caches (every proposal recomputes x*[idx]
 psi_x and the selection term of the current block), HMC before its inner
-leapfrog steps stopped evaluating log h, and the blocked Gibbs sweep before
-it became ``mcmc_block`` without a selection model."""
+leapfrog steps stopped evaluating log h, the step-size tuning before its
+pilots stopped at a certain verdict, and the blocked Gibbs sweep before it
+became ``mcmc_block`` without a selection model."""
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from spatialvb.missing import BlockPartition
-from spatialvb.samplers import (ConditionalGaussian, GmrfPlan, _joint_logh_grad,
+from spatialvb.samplers import (PILOT_ITERATIONS, ConditionalGaussian, GmrfPlan,
+                                HmcConfig, _joint_logh_grad, hmc_run,
                                 mar_conditional, sample_conditional)
 from spatialvb.sem import SemParams
 
@@ -113,6 +117,53 @@ def hmc_run_every_logh(target, cfg, init, rng):
             chain[it - cfg.burn_in] = chi
             logh_trace[it - cfg.burn_in] = logh
     return chain, logh_trace, accepted, divergences
+
+
+def tune_step_size_full_pilots(target, cfg, init, rng):
+    """``tune_step_size`` as it was while every pilot ran all
+    PILOT_ITERATIONS iterations of ``hmc_run``."""
+    eps = cfg.step_size
+    for _ in range(20):
+        pilot = HmcConfig(n_samples=PILOT_ITERATIONS, n_leapfrog=cfg.n_leapfrog,
+                          step_size=eps)
+        res = hmc_run(target, pilot, init, rng)
+        if res.accept_rate >= 0.6:
+            return eps
+        eps *= 0.5
+    return eps
+
+
+def pilot_decisions(target, cfg, init, rng):
+    """The pilots of a tuning, each judged from a full run: every pilot runs
+    all PILOT_ITERATIONS iterations of ``hmc_run`` on a copy of ``rng``, is
+    passed or failed by ``accept_rate >= 0.6``, and then ``rng`` is advanced
+    by the iterations up to the one that decided it: the 120th accept, or
+    the reject after which 120 accepts are out of reach. An accepted
+    proposal is told from a rejected one by whether the chain moved, which
+    holds for a continuous target. Returns (step, the deciding iteration of
+    each pilot)."""
+    eps = cfg.step_size
+    start = np.concatenate([np.asarray(init[0], float), np.asarray(init[1], float)])
+    deciding = []
+    for _ in range(20):
+        pilot = HmcConfig(n_samples=PILOT_ITERATIONS, n_leapfrog=cfg.n_leapfrog,
+                          step_size=eps)
+        res = hmc_run(target, pilot, init, copy.deepcopy(rng))
+        moved = np.any(np.diff(np.vstack([start, res.chain]), axis=0) != 0, axis=1)
+        accepts = np.cumsum(moved)
+        rejects = np.arange(1, PILOT_ITERATIONS + 1) - accepts
+        passed = res.accept_rate >= 0.6
+        if passed:
+            it = int(np.argmax(accepts >= 0.6 * PILOT_ITERATIONS)) + 1
+        else:
+            it = int(np.argmax(rejects > 0.4 * PILOT_ITERATIONS)) + 1
+        deciding.append(it)
+        hmc_run(target, HmcConfig(n_samples=it, n_leapfrog=cfg.n_leapfrog,
+                                  step_size=eps), init, rng)
+        if passed:
+            return eps, deciding
+        eps *= 0.5
+    return eps, deciding
 
 
 def gibbs_sweep(phi: SemParams, y_o: np.ndarray, partition: BlockPartition,

@@ -339,6 +339,25 @@ def test_cli_fit_hmc_chain_shape(tmp_path):
     assert header[5].startswith("yu")
 
 
+@pytest.mark.parametrize("hmc, message", [
+    ({"burn_in": -3, "n_samples": 6}, "burn_in must be non-negative, got -3"),
+    ({"burn_in": 2, "n_samples": 1}, "n_samples must be at least 2, got 1"),
+])
+def test_cli_fit_hmc_refuses_a_negative_burn_in_and_a_single_sample(
+        tmp_path, capsys, hmc, message):
+    # a negative burn-in left chain rows unwritten, and one sample gave NaN
+    # SDs and a bare NaN in summary.json
+    ds = make_dataset(tmp_path)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(run_config(
+        ds, "hmc", tmp_path / "run",
+        extra={"hmc": {"n_leapfrog": 3, "step_size": 0.1, **hmc}})))
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_compare_table_and_mse(tmp_path, capsys):
     ds = make_dataset(tmp_path)
     runs = []

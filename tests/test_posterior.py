@@ -381,3 +381,64 @@ def test_rho_gradient_uses_the_exact_quadratic_form_of_dm(grid7, graph, mechanis
                     - quad_term - theta[i_lambda] / target.priors.var_rho_logit)
         g_lambda = target.log_h_and_grads(theta, y_u)[1][i_lambda]
         assert abs(g_lambda - expected) <= 1e-12 * (abs(quad_term) + abs(expected))
+
+
+def _at_rho(target, theta, rho):
+    theta = theta.copy()
+    theta[target.n_beta + 1] = np.log1p(rho) - np.log1p(-rho)
+    return theta
+
+
+@pytest.mark.parametrize("evaluations", [0, 10_000])
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+@pytest.mark.parametrize("no_missing", [False, True])
+def test_one_evaluation_pass_equals_the_prepared_composition_exactly(
+        grid7, mechanism, no_missing, evaluations):
+    # the evaluation pass copies a response template, computes the selection
+    # residual inline and writes both gradients into one array; every public
+    # view must give, bit for bit, what the composition of a preparation pass
+    # and its value and gradient pieces gave, on both trace backends, at
+    # random points and with rho within 1e-6 of -1 and of 1
+    from reference_posterior import prepared_log_h_and_grads
+    from spatialvb import MissingPattern
+    target, theta, y_u, (x, _, y, _, sel) = make_target(
+        grid7, 21, mechanism=mechanism, evaluations=evaluations)
+    if no_missing:
+        target = TargetDensity(x=x, weights=grid7, y_obs=y,
+                               pattern=MissingPattern(m=np.zeros(grid7.n, dtype=np.int8)),
+                               mechanism=mechanism,
+                               x_star=sel.x_star if sel else None,
+                               evaluations=evaluations)
+        y_u = np.empty(0)
+    assert (target.ops.eigenvalues is None) == (evaluations == 0)
+    rng = np.random.default_rng(22)
+    points = [theta + 0.5 * rng.standard_normal(theta.shape) for _ in range(4)]
+    points += [_at_rho(target, points[0], rho) for rho in (1 - 1e-6, -1 + 1e-6)]
+    for point in points:
+        y_at = y_u + rng.standard_normal(y_u.shape)
+        want_value, want_theta, want_yu = prepared_log_h_and_grads(target, point, y_at)
+        value, g_theta, g_yu = target.log_h_and_grads(point, y_at)
+        assert value == want_value
+        np.testing.assert_array_equal(g_theta, want_theta)
+        np.testing.assert_array_equal(g_yu, want_yu)
+        assert target.log_h(point, y_at) == want_value
+        np.testing.assert_array_equal(target.grad_log_h_theta(point, y_at), want_theta)
+        got_theta, got_yu = target.grads(point, y_at)
+        np.testing.assert_array_equal(got_theta, want_theta)
+        np.testing.assert_array_equal(got_yu, want_yu)
+
+
+def test_both_gradients_are_parts_of_one_array(grid4):
+    from spatialvb.posterior import joint_gradient
+    for mechanism in ("mar", "mnar"):
+        target, theta, y_u, _ = make_target(grid4, 9, mechanism=mechanism)
+        for _, g_theta, g_yu in (target.log_h_and_grads(theta, y_u),
+                                 (None, *target.grads(theta, y_u))):
+            whole = joint_gradient(g_theta, g_yu)
+            assert whole is g_theta.base and whole is g_yu.base
+            np.testing.assert_array_equal(whole, np.concatenate([g_theta, g_yu]))
+    # parts that are not views of one array are concatenated
+    a, b = np.arange(3.0), np.arange(2.0)
+    np.testing.assert_array_equal(joint_gradient(a, b), [0, 1, 2, 0, 1])
+    whole = np.arange(6.0)
+    np.testing.assert_array_equal(joint_gradient(whole[:2], whole[3:]), [0, 1, 3, 4, 5])

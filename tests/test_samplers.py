@@ -5,8 +5,9 @@ from spatialvb import (GmrfPlan, HmcConfig, MissingPattern, SemParams,
                        build_rook_grid_weights, hmc_run,
                        make_blocks, mar_conditional, mcmc_block, mcmc_nob,
                        row_normalize, sample_conditional)
-from spatialvb.samplers import ConditionalGaussian, GmrfFactor, leapfrog
-from spatialvb.sem import PrecisionPattern
+from spatialvb.samplers import (PILOT_ACCEPTS, PILOT_ITERATIONS, ConditionalGaussian,
+                                GmrfFactor, leapfrog, tune_step_size)
+from spatialvb.sem import OutOfSupport, PrecisionPattern
 from spatialvb.weights import csr_dot
 
 from conftest import dense_sem_cov, random_instance, random_selection
@@ -751,7 +752,7 @@ def test_leapfrog_evaluates_log_h_only_at_the_endpoint():
         assert target.log == ["grads"] * (n_steps - 1) + ["log_h_and_grads"]
 
 
-@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError, None])
+@pytest.mark.parametrize("error", [OutOfSupport, None])
 def test_failure_on_an_inner_step_stops_the_trajectory(error):
     # calls 0-2 are the inner steps of a 4-step trajectory, call 3 its
     # endpoint; a raise or a NaN gradient on call 1 ends it there
@@ -773,3 +774,123 @@ def test_failure_on_an_inner_step_stops_the_trajectory(error):
     np.testing.assert_array_equal(res.chain[0], chi)
     assert res.log_h_trace[0] == target.log_h_and_grads(chi, np.empty(0))[0]
     assert res.accept_rate <= 2 / 3
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_an_error_other_than_out_of_support_propagates_out_of_hmc_run(error):
+    # only OutOfSupport marks a point where log h is undefined; any other
+    # error, here from grads on the second inner step of the first
+    # trajectory, is a fault of the target and must not count as a divergence
+    from toy_targets import FailingTarget
+    target = FailingTarget({2}, error)
+    cfg = HmcConfig(n_samples=3, n_leapfrog=4, step_size=0.1, burn_in=0)
+    with pytest.raises(error, match="call 2") as info:
+        hmc_run(target, cfg, (np.array([0.3, -0.2, 0.1]), np.empty(0)),
+                np.random.default_rng(0))
+    assert type(info.value) is error
+    assert target.calls == 3
+
+
+def test_sem_evaluation_raises_out_of_support_only_outside_the_support(grid4):
+    from spatialvb import TargetDensity
+    x, params, y, pattern, _ = random_instance(grid4, 30, missing=0.25)
+    for evaluations in (0, 10_000):
+        target = TargetDensity(x=x, weights=grid4, y_obs=y[pattern.observed_idx],
+                               pattern=pattern, mechanism="mar",
+                               evaluations=evaluations)
+        theta, y_u = target.unconstrain(params), y[pattern.unobserved_idx]
+        theta[target.n_beta + 1] = 60.0    # tanh(30) == 1.0 in floats
+        with pytest.raises(OutOfSupport, match="rho=1.0"):
+            target.grads(theta, y_u)
+        for rho in (1.0, -1.5):
+            with pytest.raises(OutOfSupport, match=f"rho={rho}"):
+                target.ops.pivots(rho)
+        # a shape error is no point of zero density
+        with pytest.raises(ValueError, match="y_u has shape") as info:
+            target.grads(target.unconstrain(params), y_u[1:])
+        assert not isinstance(info.value, OutOfSupport)
+    with pytest.raises(OutOfSupport, match="non-positive pivot"):
+        target.ops.logdet_m(0.5, np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("burn_in", -3, "burn_in must be non-negative, got -3"),
+    ("n_samples", 1, "n_samples must be at least 2, got 1"),
+    ("n_samples", 0, "n_samples must be at least 2, got 0"),
+])
+def test_hmc_config_refuses_a_negative_burn_in_and_fewer_than_two_samples(
+        field, value, message):
+    doc = {"n_samples": 6, "n_leapfrog": 3, "step_size": 0.1, "burn_in": 0}
+    with pytest.raises(ValueError, match=message):
+        HmcConfig(**{**doc, field: value})
+    HmcConfig(**{**doc, "n_samples": 2})
+
+
+def test_pilot_threshold_is_sixty_percent_of_the_pilot():
+    for count in range(PILOT_ITERATIONS + 1):
+        assert (count >= PILOT_ACCEPTS) == (count / PILOT_ITERATIONS >= 0.6)
+
+
+def _sem_pilot_target(mechanism):
+    from spatialvb import TargetDensity
+    w = row_normalize(build_rook_grid_weights(6))
+    x, params, y, pattern, _ = random_instance(w, 31, missing=0.5)
+    sel = random_selection(w.n, 41, psi_y=-0.8) if mechanism == "mnar" else None
+    target = TargetDensity(x=x, weights=w, y_obs=y[pattern.observed_idx],
+                           pattern=pattern, mechanism=mechanism,
+                           x_star=sel.x_star if sel else None)
+    return target, (target.unconstrain(params, sel.psi if sel else None),
+                    y[pattern.unobserved_idx])
+
+
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+def test_tuned_step_equals_that_of_full_pilots_on_sem_targets(mechanism):
+    # from these steps the pilots pass at once or halve 1-3 times; the step
+    # and the pilot verdicts must be those of pilots that run all 200
+    # iterations. After a failed pilot the next one starts from another
+    # generator state than after a full one, so only its verdict, not its
+    # draws, can agree with the full pilots': at these seeds it does.
+    from reference_samplers import pilot_decisions, tune_step_size_full_pilots
+    target, init = _sem_pilot_target(mechanism)
+    halvings = []
+    for step in (0.1, 0.2, 0.4, 0.8):
+        cfg = HmcConfig(n_samples=10, n_leapfrog=10, step_size=step)
+        got = tune_step_size(target, cfg, init, np.random.default_rng(3))
+        assert got == tune_step_size_full_pilots(target, cfg, init,
+                                                 np.random.default_rng(3))
+        assert got == pilot_decisions(target, cfg, init, np.random.default_rng(3))[0]
+        halvings.append(int(np.log2(step / got)))
+    assert halvings == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("step, halvings", [(0.55, 0), (0.63, 1), (2.0, 2)])
+def test_pilot_stops_at_its_deciding_iteration(step, halvings):
+    # a Gaussian target never diverges, so each pilot iteration makes
+    # n_leapfrog evaluations and the tuning one more, at its start
+    from reference_samplers import pilot_decisions
+    from toy_targets import CountingTarget
+    target = CountingTarget(np.zeros(3), np.diag([1.0, 0.3, 0.1]))
+    cfg = HmcConfig(n_samples=10, n_leapfrog=10, step_size=step)
+    init = (np.array([0.5, -0.3, 0.2]), np.empty(0))
+    got = tune_step_size(target, cfg, init, np.random.default_rng(8))
+    calls = target.calls
+    want, deciding = pilot_decisions(target, cfg, init, np.random.default_rng(8))
+    assert got == want == step / 2 ** halvings
+    assert len(deciding) == halvings + 1
+    assert all(PILOT_ITERATIONS - PILOT_ACCEPTS < d < PILOT_ITERATIONS for d in deciding)
+    assert calls == 1 + cfg.n_leapfrog * sum(deciding)
+
+
+def test_pilot_that_never_accepts_stops_after_twenty_halvings():
+    from reference_samplers import tune_step_size_full_pilots
+    from toy_targets import CliffTarget
+    start = np.array([0.5, -0.3, 0.2])
+    cfg = HmcConfig(n_samples=10, n_leapfrog=3, step_size=0.5)
+    target = CliffTarget(start)
+    got = tune_step_size(target, cfg, (start, np.empty(0)), np.random.default_rng(2))
+    assert got == 0.5 / 2 ** 20
+    # each of the 20 pilots fails at its 81st reject, when 120 accepts are
+    # out of reach
+    assert target.calls == 1 + 20 * 81 * cfg.n_leapfrog
+    assert got == tune_step_size_full_pilots(target, cfg, (start, np.empty(0)),
+                                             np.random.default_rng(2))

@@ -78,3 +78,31 @@ class FailingTarget(GaussianTarget):
                 return 0.0, np.full(self.S, np.nan), np.zeros(self.n_u)
             raise self.error(f"forced failure on call {call}")
         return super().log_h_and_grads(theta, y_u)
+
+
+class CountingTarget(GaussianTarget):
+    """A Gaussian target that counts its evaluations, log_h_and_grads and
+    grads together."""
+
+    def __init__(self, mean, cov, s=None):
+        super().__init__(mean, cov, s=s)
+        self.calls = 0
+
+    def log_h_and_grads(self, theta, y_u):
+        self.calls += 1
+        return super().log_h_and_grads(theta, y_u)
+
+
+class CliffTarget(CountingTarget):
+    """log h is 0 at ``start`` and -1e6 everywhere else, with a zero
+    gradient: HMC never diverges on it and rejects every proposal that
+    moves, at every step size."""
+
+    def __init__(self, start):
+        super().__init__(np.zeros(len(start)), np.eye(len(start)))
+        self.start = np.asarray(start, dtype=float)
+
+    def log_h_and_grads(self, theta, y_u):
+        self.calls += 1
+        moved = np.any(self._joint(theta, y_u) != self.start)
+        return -1e6 if moved else 0.0, np.zeros(self.S), np.zeros(self.n_u)
