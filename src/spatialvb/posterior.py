@@ -9,6 +9,7 @@ and the HMC baseline consume this interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .missing import MissingPattern, SelectionModel, log_sigmoid_sum, logistic
